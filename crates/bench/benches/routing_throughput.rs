@@ -6,9 +6,7 @@
 //!   `matches` vs `matches_batch`, on one stream with a mixed
 //!   equality/range subscription population.
 //! * **End-to-end** — source datagrams through the full 64-node stack in
-//!   four modes: `seed_single` (projection-plan caching off, per-tuple
-//!   publish — the seed data path), `single` (plans + fan-out sharing,
-//!   per-tuple publish), `batched` (`run_batched` over block-wise
+//!   three modes: `single` (per-tuple publish), `batched` (`run_batched` over block-wise
 //!   stream-homogeneous input runs, metrics recording on — the default
 //!   production path), and `batched_nometrics` (same with metrics
 //!   recording off, isolating the observability overhead).
@@ -279,13 +277,7 @@ fn bench_end_to_end(smoke: bool, results: &mut Vec<Measurement>) {
     let data = blocked_inputs(per_stream);
     let n = data.len();
     type Mode = fn(&mut Cosmos, &[Tuple]);
-    let modes: [(&str, Mode); 4] = [
-        ("seed_single", |sys, data| {
-            sys.set_plan_caching(false);
-            for t in data {
-                sys.publish(t).unwrap();
-            }
-        }),
+    let modes: [(&str, Mode); 3] = [
         ("single", |sys, data| {
             for t in data {
                 sys.publish(t).unwrap();
@@ -398,7 +390,6 @@ fn measure_metrics_overhead(smoke: bool, data: &[Tuple]) -> f64 {
 fn write_json(
     cfg: &Config,
     results: &[Measurement],
-    speedup: f64,
     metrics_overhead_pct: f64,
     scaling: &[ScalingPoint],
     gate_status: &str,
@@ -407,7 +398,6 @@ fn write_json(
     let mut s = String::from("{\n");
     s.push_str("  \"bench\": \"routing_throughput\",\n");
     s.push_str(&format!("  \"smoke\": {},\n", cfg.smoke));
-    s.push_str(&format!("  \"speedup_batched_vs_seed\": {speedup:.3},\n"));
     s.push_str(&format!(
         "  \"metrics_overhead_pct\": {metrics_overhead_pct:.2},\n"
     ));
@@ -452,14 +442,6 @@ fn main() {
     bench_matchers(cfg.smoke, &mut results);
     bench_end_to_end(cfg.smoke, &mut results);
 
-    let tps = |name: &str| {
-        results
-            .iter()
-            .find(|m| m.layer == "end_to_end" && m.name == name)
-            .map(|m| m.tuples_per_sec)
-            .unwrap_or(f64::NAN)
-    };
-    let speedup = tps("batched") / tps("seed_single");
     let per_stream = if cfg.smoke { 10_000 } else { 50_000 };
     let data = blocked_inputs(per_stream);
     let metrics_overhead_pct = measure_metrics_overhead(cfg.smoke, &data);
@@ -471,7 +453,6 @@ fn main() {
             m.layer, m.name, m.tuples, m.tuples_per_sec
         );
     }
-    println!("batched vs seed single-tuple end-to-end: {speedup:.2}x");
     println!("metrics overhead on the batched path: {metrics_overhead_pct:.2}%");
     let available = std::thread::available_parallelism().map_or(0, usize::from);
     for p in &scaling {
@@ -522,14 +503,7 @@ fn main() {
     };
 
     if cfg.json {
-        write_json(
-            &cfg,
-            &results,
-            speedup,
-            metrics_overhead_pct,
-            &scaling,
-            &gate_status,
-        );
+        write_json(&cfg, &results, metrics_overhead_pct, &scaling, &gate_status);
     }
     if let Some(max) = cfg.max_metrics_overhead {
         if metrics_overhead_pct.is_nan() || metrics_overhead_pct > max {

@@ -36,17 +36,111 @@ pub trait MatchEngine<K: Ord + Clone> {
     /// Keys of all profiles covering the tuple, sorted.
     fn matches(&self, tuple: &Tuple, schema: &Schema) -> Vec<K>;
     /// Per-tuple match keys for a *stream-homogeneous* batch (all tuples
-    /// share `tuples[0].stream` and `schema`). The default delegates to
-    /// [`MatchEngine::matches`]; indexed engines override it to pay the
-    /// stream-partition lookup once per batch instead of once per tuple.
+    /// share `tuples[0].stream` and `schema`), written into one reused
+    /// flat buffer. The default delegates to [`MatchEngine::matches`];
+    /// indexed engines override it to pay the stream-partition lookup
+    /// once per batch instead of once per tuple, and to allocate nothing
+    /// once the buffer has grown.
+    fn matches_batch_into(&self, tuples: &[Tuple], schema: &Schema, out: &mut FlatMatches<K>) {
+        out.clear();
+        for t in tuples {
+            out.keys.extend(self.matches(t, schema));
+            out.finish_tuple();
+        }
+    }
+    /// [`MatchEngine::matches_batch_into`] with one `Vec` per tuple.
     fn matches_batch(&self, tuples: &[Tuple], schema: &Schema) -> Vec<Vec<K>> {
-        tuples.iter().map(|t| self.matches(t, schema)).collect()
+        let mut flat = FlatMatches::new();
+        self.matches_batch_into(tuples, schema, &mut flat);
+        flat.iter().map(<[K]>::to_vec).collect()
     }
     /// Number of installed profiles.
     fn len(&self) -> usize;
     /// Whether no profile is installed.
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// The match keys of a whole batch in one flat buffer: tuple `i`'s
+/// sorted, deduplicated keys are `keys[ends[i - 1]..ends[i]]` (from 0
+/// for the first tuple). Owned by the caller and reused from batch to
+/// batch, so matching allocates only while the buffers grow.
+#[derive(Debug, Clone)]
+pub struct FlatMatches<K> {
+    keys: Vec<K>,
+    ends: Vec<usize>,
+    /// The counting matcher's per-filter counters, reused per tuple.
+    counts: Vec<u32>,
+}
+
+impl<K> Default for FlatMatches<K> {
+    fn default() -> Self {
+        FlatMatches {
+            keys: Vec::new(),
+            ends: Vec::new(),
+            counts: Vec::new(),
+        }
+    }
+}
+
+impl<K: Ord> FlatMatches<K> {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        FlatMatches::default()
+    }
+
+    /// Forget the previous batch, keeping the capacity.
+    fn clear(&mut self) {
+        self.keys.clear();
+        self.ends.clear();
+    }
+
+    /// Number of tuples matched.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether no tuple was matched.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Every key of every tuple, tuple after tuple.
+    pub fn keys(&self) -> &[K] {
+        &self.keys
+    }
+
+    /// The end offset of each tuple's keys in [`FlatMatches::keys`].
+    pub fn ends(&self) -> &[usize] {
+        &self.ends
+    }
+
+    /// The keys of tuple `i`.
+    pub fn get(&self, i: usize) -> &[K] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.keys[start..self.ends[i]]
+    }
+
+    /// The keys of each tuple, in batch order.
+    pub fn iter(&self) -> impl Iterator<Item = &[K]> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Close the current tuple: sort and deduplicate the keys pushed
+    /// since the previous end, in place.
+    fn finish_tuple(&mut self) {
+        let start = self.ends.last().copied().unwrap_or(0);
+        self.keys[start..].sort_unstable();
+        let mut w = start;
+        for r in start..self.keys.len() {
+            if w == start || self.keys[r] != self.keys[w - 1] {
+                self.keys.swap(w, r);
+                w += 1;
+            }
+        }
+        self.keys.truncate(w);
+        self.ends.push(w);
     }
 }
 
@@ -212,9 +306,10 @@ impl<K: Ord + Clone + Hash + Eq> CountingMatcher<K> {
 }
 
 impl<K: Ord + Clone> StreamIndex<K> {
-    /// Match one tuple against this stream's index, appending the sorted,
-    /// deduplicated keys to `out`. `counts` is a scratch buffer reused
-    /// across the tuples of a batch.
+    /// Match one tuple against this stream's index, appending its keys
+    /// to `out` unsorted and possibly repeated (one per satisfied
+    /// disjunct). `counts` is a scratch buffer reused across the tuples
+    /// of a batch.
     fn match_into(&self, tuple: &Tuple, schema: &Schema, counts: &mut Vec<u32>, out: &mut Vec<K>) {
         out.extend_from_slice(&self.accept_all);
         if !self.filters.is_empty() {
@@ -255,8 +350,6 @@ impl<K: Ord + Clone> StreamIndex<K> {
                 }
             }
         }
-        out.sort_unstable();
-        out.dedup();
     }
 }
 
@@ -287,29 +380,27 @@ impl<K: Ord + Clone + Hash + Eq> MatchEngine<K> for CountingMatcher<K> {
         let mut counts = Vec::new();
         let mut out = Vec::new();
         idx.match_into(tuple, schema, &mut counts, &mut out);
+        out.sort_unstable();
+        out.dedup();
         out
     }
 
-    fn matches_batch(&self, tuples: &[Tuple], schema: &Schema) -> Vec<Vec<K>> {
+    fn matches_batch_into(&self, tuples: &[Tuple], schema: &Schema, out: &mut FlatMatches<K>) {
+        out.clear();
         let Some(first) = tuples.first() else {
-            return Vec::new();
+            return;
         };
         debug_assert!(
             tuples.iter().all(|t| t.stream == first.stream),
             "matches_batch requires a stream-homogeneous batch"
         );
-        let Some(idx) = self.streams.get(&first.stream) else {
-            return vec![Vec::new(); tuples.len()];
-        };
-        let mut counts = Vec::new();
-        tuples
-            .iter()
-            .map(|t| {
-                let mut out = Vec::new();
-                idx.match_into(t, schema, &mut counts, &mut out);
-                out
-            })
-            .collect()
+        let idx = self.streams.get(&first.stream);
+        for t in tuples {
+            if let Some(idx) = idx {
+                idx.match_into(t, schema, &mut out.counts, &mut out.keys);
+            }
+            out.finish_tuple();
+        }
     }
 
     fn len(&self) -> usize {
@@ -515,10 +606,20 @@ mod tests {
     #[test]
     fn batch_matches_agree_with_single() {
         let (mut n, mut c) = both_engines();
+        // Key 4 has two overlapping disjuncts: a tuple satisfying both
+        // must still list it once in its flat range.
+        let mut two = Profile::new();
+        let mut low = Conjunction::always();
+        low.between("id", 0, 5);
+        let mut high = Conjunction::always();
+        high.between("id", 3, 8);
+        two.add_interest("S", Projection::All, low);
+        two.add_interest("S", Projection::All, high);
         for (k, p) in [
             (1u32, profile_eq_id(7)),
             (2, profile_price_range(0.0, 100.0)),
             (3, Profile::whole_stream("S")),
+            (4, two),
         ] {
             n.insert(k, p.clone());
             c.insert(k, p);
@@ -526,13 +627,34 @@ mod tests {
         let s = schema();
         let batch: Vec<Tuple> = (0..20).map(|i| tup(i % 9, (i * 13) as f64, "x")).collect();
         let singles: Vec<Vec<u32>> = batch.iter().map(|t| c.matches(t, &s)).collect();
+        assert_eq!(
+            singles[4],
+            vec![2, 3, 4],
+            "id 4 satisfies both disjuncts of key 4"
+        );
         assert_eq!(c.matches_batch(&batch, &s), singles);
         assert_eq!(n.matches_batch(&batch, &s), singles);
+
+        // The flat form, refilled in place: the same ranges, and a
+        // second batch leaves nothing of the first behind.
+        let mut flat = FlatMatches::new();
+        for engine in [&c as &dyn MatchEngine<u32>, &n] {
+            engine.matches_batch_into(&batch[..3], &s, &mut flat);
+            engine.matches_batch_into(&batch, &s, &mut flat);
+            assert_eq!(flat.len(), batch.len());
+            assert_eq!(flat.iter().collect::<Vec<_>>(), singles);
+            assert_eq!(flat.keys().len(), *flat.ends().last().unwrap());
+        }
+
         // unknown stream: one empty result per tuple
         let other = vec![Tuple::new("Other", Timestamp(0), vec![Value::Int(1)])];
         let os = Schema::of(&[("id", AttrType::Int)]);
         assert_eq!(c.matches_batch(&other, &os), vec![Vec::<u32>::new()]);
+        c.matches_batch_into(&other, &os, &mut flat);
+        assert_eq!((flat.len(), flat.get(0)), (1, &[][..]));
         assert!(c.matches_batch(&[], &s).is_empty());
+        c.matches_batch_into(&[], &s, &mut flat);
+        assert!(flat.is_empty());
     }
 
     #[test]
@@ -644,9 +766,17 @@ mod prop_tests {
                 counting.insert(i as u32, p);
             }
             let s = schema();
-            for (a, b) in points {
-                let t = Tuple::new("S", Timestamp(0), vec![Value::Int(a), Value::Int(b)]);
-                prop_assert_eq!(naive.matches(&t, &s), counting.matches(&t, &s));
+            let batch: Vec<Tuple> = points
+                .iter()
+                .map(|&(a, b)| Tuple::new("S", Timestamp(0), vec![Value::Int(a), Value::Int(b)]))
+                .collect();
+            let mut flat = FlatMatches::new();
+            counting.matches_batch_into(&batch, &s, &mut flat);
+            prop_assert_eq!(flat.len(), batch.len());
+            for (i, t) in batch.iter().enumerate() {
+                let expected = naive.matches(t, &s);
+                prop_assert_eq!(&expected, &counting.matches(t, &s));
+                prop_assert_eq!(&expected[..], flat.get(i));
             }
         }
     }

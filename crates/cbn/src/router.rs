@@ -30,10 +30,22 @@
 //! shards watch the sum of generations and drop their plan stores when
 //! it moves — the same blunt "any mutation clears everything"
 //! invalidation contract the serial cache always had.
+//!
+//! # Relay bypass
+//!
+//! A hop whose router has nothing to decide — one way out, every tuple
+//! provably wanted there, no projection — moves the batch straight
+//! through without matching ([`Router::route_hop`]). The proof needs
+//! the filter the upstream router installed toward this node, so the
+//! hop is routed with the upstream router in hand; the verdict is cached
+//! beside the plans and stamped with the upstream's interest generation
+//! (DESIGN.md §17).
 
-use crate::matcher::{CountingMatcher, MatchEngine};
+use crate::matcher::{CountingMatcher, FlatMatches, MatchEngine};
+use crate::predicate::Conjunction;
 use crate::profile::{Profile, ProfileEntry};
 use cosmos_types::{NodeId, Schema, SchemaId, StreamName, SubscriberId, Tuple};
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -134,6 +146,10 @@ pub struct RouterCounters {
     pub plan_misses: u64,
     /// Narrowing projections actually materialized.
     pub projections_built: u64,
+    /// Hops relayed without matching. Their tuples and plan lookups are
+    /// counted in the fields above exactly as the matched path would
+    /// count them, so this is the only field a relay adds to.
+    pub relay_hops: u64,
 }
 
 impl RouterCounters {
@@ -145,6 +161,7 @@ impl RouterCounters {
         self.plan_hits += other.plan_hits;
         self.plan_misses += other.plan_misses;
         self.projections_built += other.projections_built;
+        self.relay_hops += other.relay_hops;
     }
 }
 
@@ -154,8 +171,9 @@ impl RouterCounters {
 /// hashing into a `HashMap` ever was.
 type PlanMap = Vec<(Destination, Option<Arc<ProjectionPlan>>)>;
 
-/// Compiled projection plans of one routing shard, keyed by (incoming
-/// schema, stream) and then destination.
+/// Compiled projection plans and relay verdicts of one routing shard,
+/// keyed by (incoming schema, stream) and then destination or arrival
+/// link, plus the shard's reusable match and grouping buffers.
 ///
 /// Also a linear-scan structure: the first key component is an interned
 /// [`SchemaId`] (an integer compare) and the second an `Arc<str>` whose
@@ -167,6 +185,7 @@ type PlanMap = Vec<(Destination, Option<Arc<ProjectionPlan>>)>;
 #[derive(Debug, Clone, Default)]
 pub struct PlanStore {
     entries: Vec<PlanEntry>,
+    scratch: Scratch,
 }
 
 #[derive(Debug, Clone)]
@@ -174,7 +193,39 @@ struct PlanEntry {
     schema: SchemaId,
     stream: StreamName,
     plans: PlanMap,
+    relays: Vec<RelayVerdict>,
 }
+
+/// Whether batches of one (schema, stream) arriving from `from` relay,
+/// and to which neighbor. Valid while `from`'s interest generation is
+/// `up_gen`; the router's own generation moving clears the whole store.
+#[derive(Debug, Clone, Copy)]
+struct RelayVerdict {
+    from: NodeId,
+    up_gen: u64,
+    to: Option<NodeId>,
+}
+
+/// One destination of the batch being routed: its plan, looked up once
+/// per batch, its tuple count and its index in the output.
+#[derive(Debug, Clone)]
+struct Slot {
+    dest: Destination,
+    plan: Option<Arc<ProjectionPlan>>,
+    count: usize,
+    out: usize,
+}
+
+/// Buffers reused from batch to batch by one shard. `key_slot[k]` is
+/// the slot of `matches.keys()[k]`, or [`NO_SLOT`] for the arrival link.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    matches: FlatMatches<Destination>,
+    key_slot: Vec<usize>,
+    slots: Vec<Slot>,
+}
+
+const NO_SLOT: usize = usize::MAX;
 
 impl PlanStore {
     /// An empty store.
@@ -193,9 +244,13 @@ impl PlanStore {
         self.entries.iter().map(|e| e.plans.len()).sum()
     }
 
-    /// The plan map for one (schema, stream) pair, created empty on
-    /// first use.
-    fn map_mut(&mut self, schema: SchemaId, stream: &StreamName) -> &mut PlanMap {
+    /// The entry for one (schema, stream) pair, created empty on first
+    /// use, and the shard's scratch buffers beside it.
+    fn entry_mut(
+        &mut self,
+        schema: SchemaId,
+        stream: &StreamName,
+    ) -> (&mut PlanEntry, &mut Scratch) {
         let pos = self
             .entries
             .iter()
@@ -207,11 +262,12 @@ impl PlanStore {
                     schema,
                     stream: stream.clone(),
                     plans: Vec::new(),
+                    relays: Vec::new(),
                 });
                 self.entries.len() - 1
             }
         };
-        &mut self.entries[pos].plans
+        (&mut self.entries[pos], &mut self.scratch)
     }
 }
 
@@ -287,56 +343,100 @@ impl RouterCore {
         projected
     }
 
+    /// The neighbor a batch of `stream`, laid out by `schema` and
+    /// arriving from `up`, can be relayed to without matching: the five
+    /// proof obligations of DESIGN.md §17. `None` when any fails.
+    fn relay_target(
+        &self,
+        up: &RouterCore,
+        stream: &StreamName,
+        schema: &Schema,
+    ) -> Option<NodeId> {
+        if self
+            .local_interest
+            .values()
+            .any(|p| p.entry(stream).is_some())
+        {
+            return None;
+        }
+        let mut outgoing = self
+            .neighbor_interest
+            .iter()
+            .filter_map(|(n, p)| Some((*n, p.entry(stream)?)))
+            .filter(|(n, _)| *n != up.node);
+        let (to, entry) = outgoing.next()?;
+        if outgoing.next().is_some() {
+            return None;
+        }
+        let installed = up.neighbor_interest.get(&self.node)?.entry(stream)?;
+        let implied = installed.filters == entry.filters
+            || crate::sat::filters_imply(&installed.filters, &entry.filters);
+        let attrs_arrive = entry
+            .filters
+            .iter()
+            .flat_map(Conjunction::referenced_attrs)
+            .all(|a| schema.contains(&a));
+        (implied && attrs_arrive && !entry.projection.narrows(schema)).then_some(to)
+    }
+
+    /// The cached relay verdict for batches of `entry`'s (schema,
+    /// stream) arriving from `up`, recomputed when `up`'s interest
+    /// generation has moved since it was cached.
+    fn relay_verdict(
+        &self,
+        entry: &mut PlanEntry,
+        up: &RouterCore,
+        up_gen: u64,
+        schema: &Schema,
+    ) -> Option<NodeId> {
+        let cached = entry.relays.iter().position(|v| v.from == up.node);
+        if let Some(i) = cached {
+            if entry.relays[i].up_gen == up_gen {
+                return entry.relays[i].to;
+            }
+        }
+        let verdict = RelayVerdict {
+            from: up.node,
+            up_gen,
+            to: self.relay_target(up, &entry.stream, schema),
+        };
+        match cached {
+            Some(i) => entry.relays[i] = verdict,
+            None => entry.relays.push(verdict),
+        }
+        verdict.to
+    }
+
     /// Route one datagram against caller-owned shard state.
     fn route_with(
         &self,
         store: &mut PlanStore,
         counters: &mut RouterCounters,
-        plan_caching: bool,
         tuple: &Tuple,
         schema: &Schema,
         from: Option<NodeId>,
     ) -> Vec<ForwardDecision> {
         let matched = self.engine.matches(tuple, schema);
         let mut out = Vec::with_capacity(matched.len());
-        if plan_caching {
-            let map = store.map_mut(schema.id(), &tuple.stream);
-            let mut memo: Vec<(SchemaId, Tuple)> = Vec::new();
-            for dest in matched {
-                if let Destination::Neighbor(n) = dest {
-                    if Some(n) == from {
-                        continue;
-                    }
-                }
-                let Some(plan) = self.lookup_plan(map, counters, dest, &tuple.stream, schema)
-                else {
+        let (entry, _) = store.entry_mut(schema.id(), &tuple.stream);
+        let mut memo: Vec<(SchemaId, Tuple)> = Vec::new();
+        for dest in matched {
+            if let Destination::Neighbor(n) = dest {
+                if Some(n) == from {
                     continue;
-                };
-                let t = Self::apply_plan(&plan, tuple, &mut memo, counters);
-                out.push(ForwardDecision {
-                    dest,
-                    tuple: t,
-                    schema: plan.out_schema.clone(),
-                });
-            }
-        } else {
-            // Seed-era path: re-resolve the projection per destination
-            // and clone per destination. Kept as the benchmark baseline.
-            for dest in matched {
-                if let Destination::Neighbor(n) = dest {
-                    if Some(n) == from {
-                        continue;
-                    }
-                }
-                let profile = self.profile_of(dest).expect("matched dest has a profile");
-                if let Some((t, s)) = profile.project_tuple(tuple, schema) {
-                    out.push(ForwardDecision {
-                        dest,
-                        tuple: t,
-                        schema: s,
-                    });
                 }
             }
+            let Some(plan) =
+                self.lookup_plan(&mut entry.plans, counters, dest, &tuple.stream, schema)
+            else {
+                continue;
+            };
+            let t = Self::apply_plan(&plan, tuple, &mut memo, counters);
+            out.push(ForwardDecision {
+                dest,
+                tuple: t,
+                schema: plan.out_schema.clone(),
+            });
         }
         if out.is_empty() {
             counters.tuples_dropped += 1;
@@ -347,46 +447,18 @@ impl RouterCore {
     }
 
     /// Route a stream-homogeneous batch against caller-owned shard
-    /// state, honoring the plan-caching switch: the off position routes
-    /// tuple-by-tuple through the seed path and groups by destination,
-    /// so A/B runs compare the same shaped work.
-    fn route_batch_any(
-        &self,
-        store: &mut PlanStore,
-        counters: &mut RouterCounters,
-        plan_caching: bool,
-        tuples: &[Tuple],
-        schema: &Schema,
-        from: Option<NodeId>,
-    ) -> Vec<BatchForward> {
-        if plan_caching {
-            return self.route_batch_with(store, counters, tuples, schema, from);
-        }
-        let mut by_dest: BTreeMap<Destination, BatchForward> = BTreeMap::new();
-        for t in tuples {
-            for d in self.route_with(store, counters, false, t, schema, from) {
-                by_dest
-                    .entry(d.dest)
-                    .or_insert_with(|| BatchForward {
-                        dest: d.dest,
-                        tuples: Vec::new(),
-                        schema: d.schema.clone(),
-                    })
-                    .tuples
-                    .push(d.tuple);
-            }
-        }
-        by_dest.into_values().collect()
-    }
-
-    /// Route a stream-homogeneous batch against caller-owned shard state.
+    /// state. `upstream` is the router the batch arrived from and its
+    /// interest generation (`None` for a batch entering the network
+    /// here, or when the caller cannot name it): with it the hop may
+    /// relay, moving an owned batch through untouched.
     fn route_batch_with(
         &self,
         store: &mut PlanStore,
         counters: &mut RouterCounters,
-        tuples: &[Tuple],
+        tuples: Cow<'_, [Tuple]>,
         schema: &Schema,
         from: Option<NodeId>,
+        upstream: Option<(&RouterCore, u64)>,
     ) -> Vec<BatchForward> {
         let Some(first) = tuples.first() else {
             return Vec::new();
@@ -395,33 +467,90 @@ impl RouterCore {
             tuples.iter().all(|t| t.stream == first.stream),
             "route_batch requires a stream-homogeneous batch"
         );
-        let matched = self.engine.matches_batch(tuples, schema);
-        let map = store.map_mut(schema.id(), &first.stream);
-        let mut by_dest: BTreeMap<Destination, BatchForward> = BTreeMap::new();
+        let (entry, scratch) = store.entry_mut(schema.id(), &first.stream);
+        if let Some((up, up_gen)) = upstream {
+            if let Some(to) = self.relay_verdict(entry, up, up_gen, schema) {
+                let n = tuples.len() as u64;
+                let dest = Destination::Neighbor(to);
+                let plan = self
+                    .lookup_plan(&mut entry.plans, counters, dest, &entry.stream, schema)
+                    .expect("the relay target has an entry for the stream");
+                // The matched path looks the plan up once per tuple.
+                counters.plan_hits += n - 1;
+                counters.tuples_routed += n;
+                counters.relay_hops += 1;
+                return vec![BatchForward {
+                    dest,
+                    tuples: tuples.into_owned(),
+                    schema: plan.out_schema.clone(),
+                }];
+            }
+        }
+
+        let Scratch {
+            matches,
+            key_slot,
+            slots,
+        } = scratch;
+        self.engine.matches_batch_into(&tuples, schema, matches);
+        // One slot per destination: its plan looked up once per batch,
+        // the other lookups the per-tuple path would make counted as
+        // the hits they would be.
+        slots.clear();
+        key_slot.clear();
+        let mut out: Vec<BatchForward> = Vec::new();
+        for &dest in matches.keys() {
+            if matches!(dest, Destination::Neighbor(n) if Some(n) == from) {
+                key_slot.push(NO_SLOT);
+                continue;
+            }
+            let s = match slots.iter().position(|s| s.dest == dest) {
+                Some(s) => {
+                    counters.plan_hits += 1;
+                    s
+                }
+                None => {
+                    let plan =
+                        self.lookup_plan(&mut entry.plans, counters, dest, &entry.stream, schema);
+                    slots.push(Slot {
+                        dest,
+                        plan,
+                        count: 0,
+                        out: NO_SLOT,
+                    });
+                    slots.len() - 1
+                }
+            };
+            slots[s].count += 1;
+            key_slot.push(s);
+        }
+        for slot in slots.iter_mut() {
+            if let Some(plan) = &slot.plan {
+                slot.out = out.len();
+                out.push(BatchForward {
+                    dest: slot.dest,
+                    tuples: Vec::with_capacity(slot.count),
+                    schema: plan.out_schema.clone(),
+                });
+            }
+        }
         let mut memo: Vec<(SchemaId, Tuple)> = Vec::new();
-        for (tuple, dests) in tuples.iter().zip(&matched) {
+        let mut start = 0;
+        for (tuple, &end) in tuples.iter().zip(matches.ends()) {
             memo.clear();
             let mut forwarded = false;
-            for &dest in dests {
-                if let Destination::Neighbor(n) = dest {
-                    if Some(n) == from {
-                        continue;
-                    }
-                }
-                let Some(plan) = self.lookup_plan(map, counters, dest, &first.stream, schema)
+            for &s in &key_slot[start..end] {
+                let Some(Slot {
+                    plan: Some(plan),
+                    out: o,
+                    ..
+                }) = slots.get(s)
                 else {
                     continue;
                 };
-                let t = Self::apply_plan(&plan, tuple, &mut memo, counters);
-                by_dest
-                    .entry(dest)
-                    .or_insert_with(|| BatchForward {
-                        dest,
-                        tuples: Vec::new(),
-                        schema: plan.out_schema.clone(),
-                    })
+                out[*o]
                     .tuples
-                    .push(t);
+                    .push(Self::apply_plan(plan, tuple, &mut memo, counters));
                 forwarded = true;
             }
             if forwarded {
@@ -429,8 +558,10 @@ impl RouterCore {
             } else {
                 counters.tuples_dropped += 1;
             }
+            start = end;
         }
-        by_dest.into_values().collect()
+        out.sort_unstable_by_key(|f| f.dest);
+        out
     }
 }
 
@@ -443,7 +574,6 @@ impl RouterCore {
 pub struct SharedRouter {
     core: Arc<RouterCore>,
     generation: u64,
-    plan_caching: bool,
 }
 
 impl SharedRouter {
@@ -460,19 +590,27 @@ impl SharedRouter {
         self.generation
     }
 
-    /// Route a stream-homogeneous batch against shard-owned state.
-    /// Identical decisions, counter movements, and plan-store churn as
-    /// [`Router::route_batch`] on the snapshotted router.
-    pub fn route_batch_with(
+    /// Route a stream-homogeneous batch that arrived from `upstream`'s
+    /// snapshot (`None` = entered the network here) against shard-owned
+    /// state. Identical decisions, counter movements, and plan-store
+    /// churn as [`Router::route_hop`] on the snapshotted routers —
+    /// relays included.
+    pub fn route_batch_with<'a>(
         &self,
         store: &mut PlanStore,
         counters: &mut RouterCounters,
-        tuples: &[Tuple],
+        tuples: impl Into<Cow<'a, [Tuple]>>,
         schema: &Schema,
-        from: Option<NodeId>,
+        upstream: Option<&SharedRouter>,
     ) -> Vec<BatchForward> {
-        self.core
-            .route_batch_any(store, counters, self.plan_caching, tuples, schema, from)
+        self.core.route_batch_with(
+            store,
+            counters,
+            tuples.into(),
+            schema,
+            upstream.map(SharedRouter::node),
+            upstream.map(|u| (&*u.core, u.generation)),
+        )
     }
 }
 
@@ -491,7 +629,6 @@ pub struct Router {
     /// same call (and threaded shards clear theirs when the generation
     /// sum they watch moves).
     interest_gen: u64,
-    plan_caching: bool,
     counters: Cell<RouterCounters>,
 }
 
@@ -507,7 +644,6 @@ impl Router {
             }),
             plans: RefCell::new(PlanStore::new()),
             interest_gen: 0,
-            plan_caching: true,
             counters: Cell::new(RouterCounters::default()),
         }
     }
@@ -538,7 +674,6 @@ impl Router {
         SharedRouter {
             core: Arc::clone(&self.core),
             generation: self.interest_gen,
-            plan_caching: self.plan_caching,
         }
     }
 
@@ -662,7 +797,6 @@ impl Router {
         let out = self.core.route_with(
             &mut self.plans.borrow_mut(),
             &mut counters,
-            self.plan_caching,
             tuple,
             schema,
             from,
@@ -677,21 +811,52 @@ impl Router {
     /// Equivalent to calling [`Router::route`] per tuple and grouping
     /// the decisions by destination — per-destination tuple order is
     /// batch order — but the match-index partition is looked up once,
-    /// each projection plan once, and the accounting amortized.
+    /// each projection plan once per destination, and the accounting
+    /// amortized. Never relays: without the upstream router there is
+    /// nothing to prove a relay with.
     pub fn route_batch(
         &self,
         tuples: &[Tuple],
         schema: &Schema,
         from: Option<NodeId>,
     ) -> Vec<BatchForward> {
+        self.route_with_upstream(Cow::Borrowed(tuples), schema, from, None)
+    }
+
+    /// Route one hop of a batch that arrived from `upstream` (`None` =
+    /// entered the network here). Decisions and counters are those of
+    /// [`Router::route_batch`]; where the relay verdict holds (DESIGN.md
+    /// §17) the batch skips matching and an owned batch moves through
+    /// without a copy.
+    pub fn route_hop<'a>(
+        &self,
+        tuples: impl Into<Cow<'a, [Tuple]>>,
+        schema: &Schema,
+        upstream: Option<&Router>,
+    ) -> Vec<BatchForward> {
+        self.route_with_upstream(
+            tuples.into(),
+            schema,
+            upstream.map(Router::node),
+            upstream.map(|u| (&*u.core, u.interest_gen)),
+        )
+    }
+
+    fn route_with_upstream(
+        &self,
+        tuples: Cow<'_, [Tuple]>,
+        schema: &Schema,
+        from: Option<NodeId>,
+        upstream: Option<(&RouterCore, u64)>,
+    ) -> Vec<BatchForward> {
         let mut counters = self.counters.get();
-        let out = self.core.route_batch_any(
+        let out = self.core.route_batch_with(
             &mut self.plans.borrow_mut(),
             &mut counters,
-            self.plan_caching,
             tuples,
             schema,
             from,
+            upstream,
         );
         self.counters.set(counters);
         out
@@ -755,15 +920,6 @@ impl Router {
                 self.add_local_subscriber(s, p);
             }
         }
-    }
-
-    /// Enable or disable the projection-plan cache (and with it the
-    /// fan-out sharing of projected tuples). Disabling restores the
-    /// seed-era per-destination projection path; used for A/B
-    /// benchmarking, on by default.
-    pub fn set_plan_caching(&mut self, enabled: bool) {
-        self.plan_caching = enabled;
-        self.invalidate_plans();
     }
 
     /// Generation stamp of the installed interests; moves on every
@@ -1014,9 +1170,8 @@ mod tests {
         let s = schema();
         let batch: Vec<Tuple> = (0..40).map(|i| tup(i % 35, i as f64)).collect();
 
-        // Reference: per-tuple routing on the seed path, grouped by dest.
-        let mut reference = r.clone();
-        reference.set_plan_caching(false);
+        // Reference: per-tuple plan-cached routing, grouped by dest.
+        let reference = r.clone();
         let mut grouped: std::collections::BTreeMap<Destination, (Vec<Tuple>, Schema)> =
             std::collections::BTreeMap::new();
         for t in &batch {
@@ -1036,8 +1191,7 @@ mod tests {
             assert_eq!(&bf.tuples, ref_tuples, "dest {:?}", bf.dest);
             assert_eq!(&bf.schema, ref_schema);
         }
-        assert_eq!(reference.tuples_routed(), r.tuples_routed());
-        assert_eq!(reference.tuples_dropped(), r.tuples_dropped());
+        assert_eq!(reference.counters(), r.counters());
         assert!(r.route_batch(&[], &s, None).is_empty());
     }
 
@@ -1105,6 +1259,7 @@ mod tests {
             plan_hits: 3,
             plan_misses: 4,
             projections_built: 5,
+            relay_hops: 6,
         };
         let b = RouterCounters {
             tuples_routed: 10,
@@ -1112,6 +1267,7 @@ mod tests {
             plan_hits: 30,
             plan_misses: 40,
             projections_built: 50,
+            relay_hops: 60,
         };
         a.merge(&b);
         assert_eq!(
@@ -1122,6 +1278,7 @@ mod tests {
                 plan_hits: 33,
                 plan_misses: 44,
                 projections_built: 55,
+                relay_hops: 66,
             }
         );
         let mut r = Router::new(NodeId(0));
@@ -1168,8 +1325,13 @@ mod tests {
         let (store, counters, narrow) = std::thread::spawn(move || {
             let mut store = PlanStore::new();
             let mut counters = RouterCounters::default();
-            let fwd =
-                snap_a.route_batch_with(&mut store, &mut counters, &[tup(5, 1.0)], &schema_a, None);
+            let fwd = snap_a.route_batch_with(
+                &mut store,
+                &mut counters,
+                vec![tup(5, 1.0)],
+                &schema_a,
+                None,
+            );
             (store, counters, fwd[0].tuples[0].values().to_vec())
         })
         .join()
@@ -1193,12 +1355,22 @@ mod tests {
         let (mut store, stale, fresh) = std::thread::spawn(move || {
             let mut stale_store = store;
             let mut c = RouterCounters::default();
-            let stale =
-                snap_b.route_batch_with(&mut stale_store, &mut c, &[tup(5, 2.5)], &schema_b, None);
+            let stale = snap_b.route_batch_with(
+                &mut stale_store,
+                &mut c,
+                vec![tup(5, 2.5)],
+                &schema_b,
+                None,
+            );
             // ...so a shard observing the generation move must clear.
             stale_store.clear();
-            let fresh =
-                snap_b.route_batch_with(&mut stale_store, &mut c, &[tup(5, 2.5)], &schema_b, None);
+            let fresh = snap_b.route_batch_with(
+                &mut stale_store,
+                &mut c,
+                vec![tup(5, 2.5)],
+                &schema_b,
+                None,
+            );
             (stale_store, stale, fresh)
         })
         .join()
@@ -1218,9 +1390,152 @@ mod tests {
         let mut c = RouterCounters::default();
         let shard = r
             .shared()
-            .route_batch_with(&mut store, &mut c, &[tup(5, 2.5)], &s, None);
+            .route_batch_with(&mut store, &mut c, vec![tup(5, 2.5)], &s, None);
         let own = r.route_batch(&[tup(5, 2.5)], &s, None);
         assert_eq!(shard, own);
+    }
+
+    /// A three-node chain 0 → 1 → 2 for the relay tests: the upstream
+    /// router 0 installs `up` toward node 1, and node 1 holds `down`
+    /// toward node 2 plus an interest back toward node 0 (the arrival
+    /// link, which a relay verdict ignores).
+    fn chain(up: Profile, down: Profile) -> (Router, Router) {
+        let mut r0 = Router::new(NodeId(0));
+        r0.set_neighbor_interest(NodeId(1), up);
+        let mut r1 = Router::new(NodeId(1));
+        r1.set_neighbor_interest(NodeId(2), down);
+        r1.set_neighbor_interest(NodeId(0), interest(0, 99, &[]));
+        (r0, r1)
+    }
+
+    #[test]
+    fn relays_when_the_upstream_filter_implies_the_only_outgoing_entry() {
+        let (up, r) = chain(interest(2, 8, &[]), interest(0, 10, &[]));
+        let matched = r.clone();
+        let s = schema();
+        for round in 0..2 {
+            // Only tuples that passed the upstream filter arrive.
+            let batch: Vec<Tuple> = (2..=8).map(|i| tup(i, round as f64)).collect();
+            let reference = matched.route_batch(&batch, &s, Some(NodeId(0)));
+            let buffer = batch.as_ptr();
+            let relayed = r.route_hop(batch, &s, Some(&up));
+            assert_eq!(relayed, reference);
+            assert_eq!(
+                relayed[0].tuples.as_ptr(),
+                buffer,
+                "the batch moves, not copied"
+            );
+        }
+        assert_eq!(r.counters().relay_hops, 2);
+        assert_eq!(
+            RouterCounters {
+                relay_hops: 0,
+                ..r.counters()
+            },
+            matched.counters(),
+            "a relay counts tuples and plan lookups like the matched path"
+        );
+        assert_eq!(r.cached_plan_count(), matched.cached_plan_count());
+    }
+
+    #[test]
+    fn wider_upstream_filter_falls_back_to_matching() {
+        let (up, r) = chain(interest(0, 20, &[]), interest(0, 10, &[]));
+        let matched = r.clone();
+        let s = schema();
+        let batch: Vec<Tuple> = (0..=20).map(|i| tup(i, 1.0)).collect();
+        let out = r.route_hop(batch.clone(), &s, Some(&up));
+        assert_eq!(out, matched.route_batch(&batch, &s, Some(NodeId(0))));
+        assert_eq!(out[0].tuples.len(), 11, "ids 11..=20 are dropped");
+        assert_eq!(r.tuples_dropped(), 10);
+        assert_eq!(r.counters(), matched.counters());
+        assert_eq!(r.counters().relay_hops, 0);
+    }
+
+    #[test]
+    fn verdict_is_recomputed_when_the_upstream_generation_moves() {
+        let (mut up, r) = chain(interest(2, 8, &[]), interest(0, 10, &[]));
+        let s = schema();
+        let batch = || (2..=8).map(|i| tup(i, 1.0)).collect::<Vec<_>>();
+        r.route_hop(batch(), &s, Some(&up));
+        assert_eq!(r.counters().relay_hops, 1);
+
+        // Only the upstream changes: node 1's own generation (and so its
+        // store) stays, and the stale verdict must not be served.
+        let own = r.interest_generation();
+        up.set_neighbor_interest(NodeId(1), interest(0, 20, &[]));
+        r.route_hop(batch(), &s, Some(&up));
+        assert_eq!(r.interest_generation(), own);
+        assert_eq!(r.counters().relay_hops, 1, "wider upstream: matched");
+
+        up.set_neighbor_interest(NodeId(1), interest(3, 4, &[]));
+        r.route_hop(vec![tup(3, 1.0)], &s, Some(&up));
+        assert_eq!(r.counters().relay_hops, 2, "narrower again: relayed");
+    }
+
+    #[test]
+    fn never_relays_without_the_proof() {
+        let s = schema();
+        let batch: Vec<Tuple> = (2..=8).map(|i| tup(i, 1.0)).collect();
+        let check = |up: &Router, r: &Router, arriving: &Schema, batch: &[Tuple]| {
+            let matched = r.clone();
+            let out = r.route_hop(batch.to_vec(), arriving, Some(up));
+            assert_eq!(out, matched.route_batch(batch, arriving, Some(NodeId(0))));
+            assert_eq!(r.counters(), matched.counters());
+            assert_eq!(r.counters().relay_hops, 0);
+        };
+
+        // A local subscriber on the stream.
+        let (up, mut r) = chain(interest(2, 8, &[]), interest(0, 10, &[]));
+        r.add_local_subscriber(SubscriberId(7), interest(0, 99, &["id"]));
+        check(&up, &r, &s, &batch);
+
+        // Two ways out.
+        let (up, mut r) = chain(interest(2, 8, &[]), interest(0, 10, &[]));
+        r.set_neighbor_interest(NodeId(3), interest(5, 6, &[]));
+        check(&up, &r, &s, &batch);
+
+        // A projection that narrows the arriving schema.
+        let (up, r) = chain(interest(2, 8, &[]), interest(0, 10, &["id", "price"]));
+        check(&up, &r, &s, &batch);
+
+        // The filter references an attribute the arriving schema lacks:
+        // matching drops every tuple, so relaying would deliver them.
+        let mut on_price = Conjunction::always();
+        on_price.between("price", 0.0, 5.0);
+        let mut down = Profile::new();
+        down.add_interest("S", Projection::All, on_price.clone());
+        let mut upstream = Profile::new();
+        upstream.add_interest("S", Projection::of(["id", "note"]), on_price);
+        let (up, r) = chain(upstream, down);
+        let narrow = s.project(&["id", "note"]).unwrap();
+        let projected: Vec<Tuple> = batch
+            .iter()
+            .map(|t| t.project_indices(&[0, 2]).unwrap())
+            .collect();
+        check(&up, &r, &narrow, &projected);
+        assert_eq!(r.tuples_dropped(), projected.len() as u64);
+    }
+
+    #[test]
+    fn shared_snapshots_relay_like_the_router() {
+        let (up, r) = chain(interest(2, 8, &[]), interest(0, 10, &[]));
+        let s = schema();
+        let batch: Vec<Tuple> = (2..=8).map(|i| tup(i, 1.0)).collect();
+        let mut store = PlanStore::new();
+        let mut counters = RouterCounters::default();
+        let via_shard = r.shared().route_batch_with(
+            &mut store,
+            &mut counters,
+            batch.clone(),
+            &s,
+            Some(&up.shared()),
+        );
+        let via_router = r.route_hop(batch, &s, Some(&up));
+        assert_eq!(via_shard, via_router);
+        assert_eq!(counters, r.counters());
+        assert_eq!(counters.relay_hops, 1);
+        assert_eq!(store.plan_count(), r.cached_plan_count());
     }
 
     /// `SharedRouter` and its shard state are Send + Sync by

@@ -174,12 +174,14 @@ fn worker_loop(worker: usize, jobs: Receiver<Job>, results: Sender<(u64, RoutedB
                     counters.len() - 1
                 }
             };
+            // The same hop routing as the serial driver's, relays
+            // included: the upstream is the sender's snapshot.
             let forwards = shared.route_batch_with(
                 &mut stores[idx],
                 &mut counters[cpos].1,
-                &inp.tuples,
+                inp.tuples,
                 &inp.schema,
-                inp.from,
+                inp.from.map(|n| &snapshot[n.index()]),
             );
             let mut pre = Vec::with_capacity(forwards.len());
             for f in forwards {

@@ -179,8 +179,12 @@ pub struct Cosmos {
     routers: Vec<Router>,
     /// Query-layer state per processor.
     managers: BTreeMap<NodeId, GroupManager>,
-    /// Representative executors, keyed by result-stream name.
+    /// Representative executors, keyed by result-stream name. Changed
+    /// only through [`Cosmos::set_rep`], which keeps `cascading` current.
     reps: BTreeMap<StreamName, RepSite>,
+    /// Whether any representative consumes a stream another one
+    /// produces (see [`Cosmos::publish_batch`]).
+    cascading: bool,
     /// SPE-input subscriptions: subscriber → result stream it feeds.
     spe_subs: BTreeMap<SubscriberId, StreamName>,
     /// User subscriptions: subscriber → query it serves.
@@ -281,6 +285,7 @@ impl Cosmos {
             routers,
             managers: BTreeMap::new(),
             reps: BTreeMap::new(),
+            cascading: false,
             spe_subs: BTreeMap::new(),
             user_subs: FxHashMap::default(),
             user_sub_of_query: FxHashMap::default(),
@@ -599,6 +604,18 @@ impl Cosmos {
                 }
             }
         }
+        self.register_analyzed(analyzed, warnings, user)
+    }
+
+    /// Place, group and start an admitted query at user node `user`:
+    /// the half of [`Cosmos::submit_query`] after parsing, lint and
+    /// admission control.
+    fn register_analyzed(
+        &mut self,
+        analyzed: AnalyzedQuery,
+        warnings: Vec<String>,
+        user: NodeId,
+    ) -> Result<QueryId> {
         let qid = QueryId(self.next_query);
         self.next_query += 1;
         if !warnings.is_empty() {
@@ -661,13 +678,13 @@ impl Cosmos {
             self.propagate_per_stream(processor, &source_profile)?;
             self.executor_gen += 1;
             self.query_executor_gen.insert(qid, self.executor_gen);
-            self.reps.insert(
-                result_stream.clone(),
-                RepSite {
+            self.set_rep(
+                &result_stream,
+                Some(RepSite {
                     processor,
                     executor,
                     generation: self.executor_gen,
-                },
+                }),
             );
         } else if rep_changed {
             // Replace the running representative: wider query, same
@@ -679,9 +696,14 @@ impl Cosmos {
             let mut executor = Executor::new(rep.clone(), result_stream.clone())?;
             self.arm_executor(&mut executor);
             self.executor_gen += 1;
-            let site = self.reps.get_mut(&result_stream).expect("rep exists");
-            site.executor = executor;
-            site.generation = self.executor_gen;
+            self.set_rep(
+                &result_stream,
+                Some(RepSite {
+                    processor,
+                    executor,
+                    generation: self.executor_gen,
+                }),
+            );
             // The replaced executor starts fresh: every member of the
             // group (the new one included) is now served by the new
             // generation.
@@ -772,7 +794,7 @@ impl Cosmos {
                 .collect();
             for s in &old_streams {
                 self.retire_executor(s);
-                self.reps.remove(s);
+                self.set_rep(s, None);
                 self.registry.unregister(s);
                 let dead_subs: Vec<SubscriberId> = self
                     .spe_subs
@@ -806,13 +828,13 @@ impl Cosmos {
                 self.routers[p.index()].add_local_subscriber(sub, rep.source_profile());
                 self.spe_subs.insert(sub, stream.clone());
                 self.executor_gen += 1;
-                self.reps.insert(
-                    stream,
-                    RepSite {
+                self.set_rep(
+                    &stream,
+                    Some(RepSite {
                         processor: p,
                         executor,
                         generation: self.executor_gen,
-                    },
+                    }),
                 );
             }
             // Refresh the affected users' subscriptions.
@@ -860,7 +882,7 @@ impl Cosmos {
                     // Group dissolved: stop the representative and drop
                     // its advertisement and SPE input subscription.
                     self.retire_executor(&result_stream);
-                    self.reps.remove(&result_stream);
+                    self.set_rep(&result_stream, None);
                     self.registry.unregister(&result_stream);
                     let spe_sub = self
                         .spe_subs
@@ -883,9 +905,14 @@ impl Cosmos {
                     let mut executor = Executor::new(rep.clone(), result_stream.clone())?;
                     self.arm_executor(&mut executor);
                     self.executor_gen += 1;
-                    let site = self.reps.get_mut(&result_stream).expect("rep exists");
-                    site.executor = executor;
-                    site.generation = self.executor_gen;
+                    self.set_rep(
+                        &result_stream,
+                        Some(RepSite {
+                            processor,
+                            executor,
+                            generation: self.executor_gen,
+                        }),
+                    );
                     for mid in &members {
                         self.query_executor_gen.insert(*mid, self.executor_gen);
                     }
@@ -919,7 +946,7 @@ impl Cosmos {
                 .remove(&qid)
                 .expect("baseline query has a private result stream");
             self.retire_executor(&stream);
-            self.reps.remove(&stream);
+            self.set_rep(&stream, None);
             self.registry.unregister(&stream);
             let spe_sub = self
                 .spe_subs
@@ -962,19 +989,29 @@ impl Cosmos {
         self.publish_batch(std::slice::from_ref(tuple))
     }
 
-    /// Whether any representative executor consumes a stream that is
-    /// itself produced by a representative. Batching such a topology
-    /// would deliver a source batch and the result batch it triggers
-    /// back-to-back instead of interleaved by timestamp, so
-    /// [`Cosmos::publish_batch`] falls back to per-tuple routing.
-    fn has_cascading_reps(&self) -> bool {
-        self.reps.values().any(|site| {
+    /// Install (`Some`) or tear down (`None`) the representative
+    /// producing `stream` — the one place `reps` changes, so the
+    /// cascading flag is recomputed here rather than on every publish.
+    /// A cascading topology (an executor consuming a stream another
+    /// executor produces) would, batched, deliver a source batch and
+    /// the result batch it triggers back-to-back instead of interleaved
+    /// by timestamp, so [`Cosmos::publish_batch`] routes it per tuple.
+    fn set_rep(&mut self, stream: &StreamName, site: Option<RepSite>) {
+        match site {
+            Some(site) => {
+                self.reps.insert(stream.clone(), site);
+            }
+            None => {
+                self.reps.remove(stream);
+            }
+        }
+        self.cascading = self.reps.values().any(|site| {
             site.executor
                 .query()
                 .streams
                 .iter()
                 .any(|b| self.reps.contains_key(&b.stream))
-        })
+        });
     }
 
     /// Publish a *stream-homogeneous* batch of source datagrams at their
@@ -1003,10 +1040,9 @@ impl Cosmos {
         if self.disorder.is_some() {
             self.published_streams.insert(first.stream.clone());
         }
-        let cascading = self.has_cascading_reps();
-        if tuples.len() > 1 && cascading {
+        if tuples.len() > 1 && self.cascading {
             for t in tuples {
-                self.drive(origin, t, &schema);
+                self.drive(origin, std::slice::from_ref(t), &schema);
             }
             self.after_publish(tuples);
             self.autotune_tick();
@@ -1015,7 +1051,7 @@ impl Cosmos {
         // Cascading-rep topologies keep all source routing on the main
         // routers (store-placement consistency with the fallback above);
         // otherwise route through the worker pool when one is armed.
-        if self.parallel.is_some() && !cascading {
+        if self.parallel.is_some() && !self.cascading {
             let mut pool = self.parallel.take().expect("checked above");
             pool.ensure_snapshot(&self.routers);
             let seq = pool.dispatch(origin, tuples.to_vec(), schema);
@@ -1026,14 +1062,7 @@ impl Cosmos {
             self.autotune_tick();
             return Ok(());
         }
-        let mut queue: VecDeque<Hop> = VecDeque::new();
-        let forwards = self.routers[origin.index()].route_batch(tuples, &schema, None);
-        self.process_forwards(origin, forwards, &mut queue);
-        while let Some(hop) = queue.pop_front() {
-            let forwards =
-                self.routers[hop.at.index()].route_batch(&hop.tuples, &hop.schema, hop.from);
-            self.process_forwards(hop.at, forwards, &mut queue);
-        }
+        self.drive(origin, tuples, &schema);
         self.after_publish(tuples);
         self.autotune_tick();
         Ok(())
@@ -1092,13 +1121,10 @@ impl Cosmos {
                     }
                 }
                 Entry::Live(hop) => {
-                    let forwards = self.routers[hop.at.index()].route_batch(
-                        &hop.tuples,
-                        &hop.schema,
-                        hop.from,
-                    );
+                    let at = hop.at;
+                    let forwards = self.route_hop(hop);
                     let mut tmp: VecDeque<Hop> = VecDeque::new();
-                    self.process_forwards(hop.at, forwards, &mut tmp);
+                    self.process_forwards(at, forwards, &mut tmp);
                     for h in tmp {
                         queue.push_back(Entry::Live(h));
                     }
@@ -1107,18 +1133,31 @@ impl Cosmos {
         }
     }
 
-    /// Drive one already-validated tuple through the network (the
-    /// per-tuple fallback of [`Cosmos::publish_batch`]).
-    fn drive(&mut self, origin: NodeId, tuple: &Tuple, schema: &Schema) {
+    /// Drive an already-validated source batch from its origin through
+    /// the network to completion, breadth first.
+    fn drive(&mut self, origin: NodeId, tuples: &[Tuple], schema: &Schema) {
         let mut queue: VecDeque<Hop> = VecDeque::new();
-        let forwards =
-            self.routers[origin.index()].route_batch(std::slice::from_ref(tuple), schema, None);
+        let forwards = self.routers[origin.index()].route_hop(tuples, schema, None);
         self.process_forwards(origin, forwards, &mut queue);
+        self.drain_hops(queue);
+    }
+
+    /// Route queued hops, and every hop they cause, to completion.
+    fn drain_hops(&mut self, mut queue: VecDeque<Hop>) {
         while let Some(hop) = queue.pop_front() {
-            let forwards =
-                self.routers[hop.at.index()].route_batch(&hop.tuples, &hop.schema, hop.from);
-            self.process_forwards(hop.at, forwards, &mut queue);
+            let at = hop.at;
+            let forwards = self.route_hop(hop);
+            self.process_forwards(at, forwards, &mut queue);
         }
+    }
+
+    /// Route one hop on the serial driver — every serial hop goes
+    /// through here. The router the batch arrived from is handed along,
+    /// so the hop relays without matching where that is proven
+    /// (DESIGN.md §17), moving the hop's owned batch.
+    fn route_hop(&self, hop: Hop) -> Vec<BatchForward> {
+        let upstream = hop.from.map(|n| &self.routers[n.index()]);
+        self.routers[hop.at.index()].route_hop(hop.tuples, &hop.schema, upstream)
     }
 
     /// Handle the forwarding decisions of one (node, batch) routing
@@ -1370,18 +1409,12 @@ impl Cosmos {
     /// Drive result tuples that entered the network at `at` (an executor
     /// drain outside the normal publish path) through to completion.
     fn inject_results(&mut self, at: NodeId, tuples: Vec<Tuple>, schema: Schema) {
-        let mut queue: VecDeque<Hop> = VecDeque::new();
-        queue.push_back(Hop {
+        self.drain_hops(VecDeque::from([Hop {
             from: None,
             at,
             tuples,
             schema,
-        });
-        while let Some(hop) = queue.pop_front() {
-            let forwards =
-                self.routers[hop.at.index()].route_batch(&hop.tuples, &hop.schema, hop.from);
-            self.process_forwards(hop.at, forwards, &mut queue);
-        }
+        }]));
     }
 
     /// Disorder-mode epilogue of every publish: advance the global high
@@ -1559,7 +1592,7 @@ impl Cosmos {
     /// route batches `k+1..` of other streams. Delivery is bit-for-bit
     /// identical either way.
     pub fn run_batched<I: IntoIterator<Item = Tuple>>(&mut self, inputs: I) -> Result<()> {
-        if self.parallel.is_some() && !self.has_cascading_reps() {
+        if self.parallel.is_some() && !self.cascading {
             return self.run_batched_parallel(inputs);
         }
         let mut pending: Vec<Tuple> = Vec::new();
@@ -1718,15 +1751,6 @@ impl Cosmos {
                 self.metrics.on_delivery(qid, node, &tuples);
                 buf.extend(tuples);
             }
-        }
-    }
-
-    /// Enable or disable projection-plan caching (and fan-out sharing)
-    /// in every router. On by default; the off position restores the
-    /// seed-era per-destination projection path for A/B benchmarking.
-    pub fn set_plan_caching(&mut self, enabled: bool) {
-        for r in &mut self.routers {
-            r.set_plan_caching(enabled);
         }
     }
 
@@ -2558,6 +2582,123 @@ mod tests {
         }
         assert!(!serial.0[0].is_empty(), "q1 must actually deliver");
         assert!(!serial.0[2].is_empty(), "q3 must actually deliver");
+    }
+
+    /// Relays on a Line: source batches of T cross nodes 2 and 1 on
+    /// their way from origin 3 to the processor at 0 (routed by the
+    /// pool's workers when armed), and result batches cross node 1 on
+    /// their way back (routed live on the driver). Relaying must fire,
+    /// and the pool must relay exactly as the serial driver does.
+    #[test]
+    fn line_hops_relay_and_the_pool_agrees() {
+        let inputs: Vec<Tuple> = (0..60i64)
+            .map(|i| {
+                Tuple::new(
+                    "T",
+                    Timestamp(i * 500),
+                    vec![Value::Int(i % 7), Value::Int(i * 500)],
+                )
+            })
+            .collect();
+        let run = |parallelism: usize| {
+            let mut sys = line_system(true);
+            sys.register_stream(
+                "T",
+                Schema::of(&[("k", AttrType::Int), ("timestamp", AttrType::Int)]),
+                StreamStats::with_rate(1.0).attr("k", AttrStats::categorical(10.0)),
+                NodeId(3),
+            )
+            .unwrap();
+            sys.set_parallelism(parallelism);
+            let q1 = sys
+                .submit_query("SELECT k FROM T [Now] WHERE k > 2", NodeId(2))
+                .unwrap();
+            let q2 = sys
+                .submit_query("SELECT k FROM T [Range 5 Second] WHERE k = 3", NodeId(3))
+                .unwrap();
+            sys.run_batched(inputs.iter().cloned()).unwrap();
+            let relay_hops: Vec<u64> = (0..4)
+                .map(|n| sys.router(NodeId(n)).counters().relay_hops)
+                .collect();
+            (
+                [q1, q2].map(|q| sys.results(q).to_vec()),
+                sys.total_bytes(),
+                sys.metrics(),
+                sys.routing_digest(),
+                relay_hops,
+            )
+        };
+        let serial = run(1);
+        assert!(serial.4[1] > 0 && serial.4[2] > 0, "relays: {:?}", serial.4);
+        assert!(!serial.0[0].is_empty() && !serial.0[1].is_empty());
+        assert_eq!(serial, run(2));
+    }
+
+    /// The cascading flag follows every change of the representative
+    /// set between publishes, and batched delivery stays equal to
+    /// per-tuple delivery while it is set and after it clears.
+    #[test]
+    fn cascading_flag_follows_submit_and_unsubscribe() {
+        let inputs: Vec<Tuple> = (0..40)
+            .map(|i| s_tuple(i * 500, i % 7, (i * 3) as f64))
+            .collect();
+        let scan = |sys: &Cosmos| {
+            sys.reps.values().any(|site| {
+                site.executor
+                    .query()
+                    .streams
+                    .iter()
+                    .any(|b| sys.reps.contains_key(&b.stream))
+            })
+        };
+        let run = |batched: bool| {
+            let mut sys = line_system(true);
+            let publish = |sys: &mut Cosmos, chunk: &[Tuple]| {
+                if batched {
+                    sys.publish_batch(chunk).unwrap();
+                } else {
+                    sys.run(chunk.iter().cloned()).unwrap();
+                }
+            };
+            let mut chunks = inputs.chunks(10);
+            let q1 = sys
+                .submit_query("SELECT k, x FROM S [Now] WHERE x > 30.0", NodeId(3))
+                .unwrap();
+            publish(&mut sys, chunks.next().unwrap());
+            assert!(!sys.cascading && !scan(&sys));
+
+            // A query over q1's result stream. CQL cannot name a result
+            // stream, so the stream is bound after parsing and the query
+            // enters through submit_query's own registration half.
+            let r1 = sys.rep_states()[0].result_stream.clone();
+            let mut parsed = cosmos_cql::parse_query("SELECT k FROM R [Now] WHERE k > 2").unwrap();
+            parsed.from[0].stream = r1.to_string();
+            let analyzed = AnalyzedQuery::analyze(&parsed, sys.catalog.schema_fn()).unwrap();
+            let q2 = sys
+                .register_analyzed(analyzed, Vec::new(), NodeId(2))
+                .unwrap();
+            assert!(sys.cascading && scan(&sys));
+            publish(&mut sys, chunks.next().unwrap());
+
+            // Another, independent query keeps the flag set.
+            let q3 = sys
+                .submit_query("SELECT k FROM S [Now] WHERE k = 3", NodeId(1))
+                .unwrap();
+            assert!(sys.cascading && scan(&sys));
+            publish(&mut sys, chunks.next().unwrap());
+
+            sys.unsubscribe(q2).unwrap();
+            assert!(!sys.cascading && !scan(&sys));
+            publish(&mut sys, chunks.next().unwrap());
+            (
+                [q1, q2, q3].map(|q| sys.results(q).to_vec()),
+                sys.total_bytes(),
+                sys.routing_digest(),
+            )
+        };
+        let single = run(false);
+        assert!(!single.0[1].is_empty(), "the cascading query delivers");
+        assert_eq!(single, run(true));
     }
 
     /// Single-batch publishes also route through the pool (correctness

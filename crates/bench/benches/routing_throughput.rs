@@ -11,15 +11,6 @@
 //!   production path), and `batched_nometrics` (same with metrics
 //!   recording off, isolating the observability overhead).
 //!
-//! A third layer scans **core scaling**: the batched mode re-run at
-//! `set_parallelism(c)` for each requested core count (`--cores LIST`,
-//! default `1,2,4,8`), with speedups relative to the 1-core run. The
-//! `--min-scaling X` gate fails (exit 1) when the 4-core speedup is
-//! below `X` — but skips honestly, with the reason recorded in the
-//! JSON, when the host exposes fewer than 4 hardware threads (a 1-CPU
-//! container cannot observe parallel speedup; the pool still runs and
-//! its determinism is still exercised).
-//!
 //! Not a criterion harness: the binary parses `--smoke` (tiny workload
 //! for CI), `--json` (write machine-readable results), `--out PATH`
 //! (default `BENCH_routing.json` at the repo root) so the perf
@@ -50,12 +41,6 @@ struct Config {
     /// Fail (exit 1) if metrics-on batched throughput is more than this
     /// many percent below metrics-off.
     max_metrics_overhead: Option<f64>,
-    /// Worker-pool widths to scan in the scaling layer.
-    cores: Vec<usize>,
-    /// Fail (exit 1) if the 4-core batched speedup over 1 core is below
-    /// this factor. Skipped (recorded, not failed) on hosts with fewer
-    /// than 4 hardware threads.
-    min_scaling: Option<f64>,
 }
 
 fn parse_args() -> Config {
@@ -65,8 +50,6 @@ fn parse_args() -> Config {
         json: false,
         out: default_out.to_string(),
         max_metrics_overhead: None,
-        cores: vec![1, 2, 4, 8],
-        min_scaling: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -79,23 +62,6 @@ fn parse_args() -> Config {
                     args.next()
                         .and_then(|v| v.parse().ok())
                         .expect("--max-metrics-overhead requires a percentage"),
-                )
-            }
-            "--cores" => {
-                cfg.cores = args
-                    .next()
-                    .map(|v| {
-                        v.split(',')
-                            .map(|c| c.trim().parse().expect("--cores requires integers"))
-                            .collect()
-                    })
-                    .expect("--cores requires a comma-separated list")
-            }
-            "--min-scaling" => {
-                cfg.min_scaling = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--min-scaling requires a factor"),
                 )
             }
             // ignore cargo-bench plumbing (--bench, filter strings, ...)
@@ -311,52 +277,6 @@ fn bench_end_to_end(smoke: bool, results: &mut Vec<Measurement>) {
     }
 }
 
-// --------------------------------------------------------------- scaling
-
-#[derive(Debug)]
-struct ScalingPoint {
-    cores: usize,
-    tuples_per_sec: f64,
-    speedup_vs_1: f64,
-}
-
-/// The batched end-to-end mode at each requested worker-pool width.
-///
-/// Fresh deployment per width (untimed); `cores == 1` runs the serial
-/// driver so the baseline is the same code the 1-core row of the
-/// end-to-end layer measures. Speedups are relative to the first
-/// 1-core point (or the first point if 1 was not requested).
-fn bench_scaling(smoke: bool, cores: &[usize], data: &[Tuple]) -> Vec<ScalingPoint> {
-    let reps = if smoke { 3 } else { 5 };
-    let n = data.len();
-    let mut raw: Vec<(usize, f64)> = Vec::new();
-    for &c in cores {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let mut sys = deploy();
-            sys.set_parallelism(c);
-            let start = Instant::now();
-            sys.run_batched(data.iter().cloned()).unwrap();
-            black_box(sys.total_bytes());
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        raw.push((c, n as f64 / best));
-    }
-    let base = raw
-        .iter()
-        .find(|(c, _)| *c == 1)
-        .or(raw.first())
-        .map(|(_, tps)| *tps)
-        .unwrap_or(f64::NAN);
-    raw.into_iter()
-        .map(|(cores, tuples_per_sec)| ScalingPoint {
-            cores,
-            tuples_per_sec,
-            speedup_vs_1: tuples_per_sec / base,
-        })
-        .collect()
-}
-
 /// Percent throughput lost to metrics recording on the batched path.
 ///
 /// Measured from alternating metrics-on / metrics-off reps over fresh
@@ -387,38 +307,15 @@ fn measure_metrics_overhead(smoke: bool, data: &[Tuple]) -> f64 {
 
 // ---------------------------------------------------------------- output
 
-fn write_json(
-    cfg: &Config,
-    results: &[Measurement],
-    metrics_overhead_pct: f64,
-    scaling: &[ScalingPoint],
-    gate_status: &str,
-) {
+fn write_json(cfg: &Config, results: &[Measurement], metrics_overhead_pct: f64) {
     let available = std::thread::available_parallelism().map_or(0, usize::from);
     let mut s = String::from("{\n");
     s.push_str("  \"bench\": \"routing_throughput\",\n");
     s.push_str(&format!("  \"smoke\": {},\n", cfg.smoke));
+    s.push_str(&format!("  \"hardware_threads\": {available},\n"));
     s.push_str(&format!(
         "  \"metrics_overhead_pct\": {metrics_overhead_pct:.2},\n"
     ));
-    s.push_str("  \"scaling\": {\n");
-    s.push_str(&format!("    \"hardware_threads\": {available},\n"));
-    s.push_str(&format!(
-        "    \"min_scaling_gate\": {{\"required\": {}, \"status\": \"{gate_status}\"}},\n",
-        cfg.min_scaling
-            .map_or("null".to_string(), |v| format!("{v:.2}"))
-    ));
-    s.push_str("    \"results\": [\n");
-    for (i, p) in scaling.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{\"cores\": {}, \"tuples_per_sec\": {:.1}, \"speedup_vs_1\": {:.3}}}{}\n",
-            p.cores,
-            p.tuples_per_sec,
-            p.speedup_vs_1,
-            if i + 1 < scaling.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("    ]\n  },\n");
     s.push_str("  \"results\": [\n");
     for (i, m) in results.iter().enumerate() {
         s.push_str(&format!(
@@ -445,7 +342,6 @@ fn main() {
     let per_stream = if cfg.smoke { 10_000 } else { 50_000 };
     let data = blocked_inputs(per_stream);
     let metrics_overhead_pct = measure_metrics_overhead(cfg.smoke, &data);
-    let scaling = bench_scaling(cfg.smoke, &cfg.cores, &data);
 
     for m in &results {
         println!(
@@ -454,56 +350,8 @@ fn main() {
         );
     }
     println!("metrics overhead on the batched path: {metrics_overhead_pct:.2}%");
-    let available = std::thread::available_parallelism().map_or(0, usize::from);
-    for p in &scaling {
-        println!(
-            "   scaling {:2} cores            {:>9} tuples  {:>12.0} tuples/s  ({:.2}x vs 1)",
-            p.cores,
-            data.len(),
-            p.tuples_per_sec,
-            p.speedup_vs_1
-        );
-    }
-
-    // --min-scaling gate: pass/fail on the 4-core speedup, or skip
-    // honestly when the host cannot exhibit one.
-    let four = scaling.iter().find(|p| p.cores == 4);
-    let mut gate_failed = false;
-    let gate_status = match (cfg.min_scaling, four) {
-        (None, _) => "not requested".to_string(),
-        (Some(_), _) if available < 2 => {
-            // A single hardware thread cannot exhibit parallel speedup
-            // at all — every multi-worker point measures scheduling
-            // overhead, not scaling. Distinct from the < 4 case so the
-            // JSON records *why* nothing was provable on this host.
-            let s = format!(
-                "skipped: {available} hardware thread(s) — parallel scaling is \
-                 unmeasurable on this host"
-            );
-            println!("min-scaling gate {s}");
-            s
-        }
-        (Some(_), _) if available < 4 => {
-            let s = format!("skipped: only {available} hardware threads available, need 4");
-            println!("min-scaling gate {s}");
-            s
-        }
-        (Some(_), None) => {
-            let s = "skipped: 4 cores not in --cores list".to_string();
-            println!("min-scaling gate {s}");
-            s
-        }
-        (Some(min), Some(p)) if p.speedup_vs_1 >= min => {
-            format!("pass: {:.2}x >= {min:.2}x at 4 cores", p.speedup_vs_1)
-        }
-        (Some(min), Some(p)) => {
-            gate_failed = true;
-            format!("fail: {:.2}x < {min:.2}x at 4 cores", p.speedup_vs_1)
-        }
-    };
-
     if cfg.json {
-        write_json(&cfg, &results, metrics_overhead_pct, &scaling, &gate_status);
+        write_json(&cfg, &results, metrics_overhead_pct);
     }
     if let Some(max) = cfg.max_metrics_overhead {
         if metrics_overhead_pct.is_nan() || metrics_overhead_pct > max {
@@ -512,9 +360,5 @@ fn main() {
             );
             std::process::exit(1);
         }
-    }
-    if gate_failed {
-        eprintln!("FAIL: min-scaling gate — {gate_status}");
-        std::process::exit(1);
     }
 }

@@ -15,21 +15,15 @@
 //! [`Router::aggregated_interest`] to compute the profile a node must
 //! forward upstream.
 //!
-//! # Shard-per-core routing
+//! # Plan cache
 //!
-//! The immutable half of a router — interests and the match engine — is
-//! an [`Arc`]'d core shared copy-on-write between the router and any
-//! number of worker threads ([`Router::shared`]). The mutable half — the
-//! projection-plan cache ([`PlanStore`]) and the counters
-//! ([`RouterCounters`]) — is *owned by the caller* on the threaded path:
-//! each routing shard keeps its own store and counter block, so the hot
-//! path takes no lock whatsoever, and shard state is folded back into
-//! the router ([`Router::absorb_counters`]) on the driver thread.
-//! Interest mutations go through [`Arc::make_mut`] (cheap when no
-//! snapshot is outstanding) and bump [`Router::interest_generation`];
-//! shards watch the sum of generations and drop their plan stores when
-//! it moves — the same blunt "any mutation clears everything"
-//! invalidation contract the serial cache always had.
+//! A router keeps its interests and match engine beside a cache of
+//! compiled projection plans and relay verdicts, keyed by (incoming
+//! schema, stream), and a block of [`RouterCounters`]. Every
+//! interest mutation clears the whole cache and bumps
+//! [`Router::interest_generation`] — the blunt "any mutation clears
+//! everything" invalidation contract. The generation also stamps relay
+//! verdicts cached downstream (below).
 //!
 //! # Relay bypass
 //!
@@ -131,9 +125,7 @@ impl ProjectionPlan {
     }
 }
 
-/// The router's throughput and plan-cache counters, one block instead of
-/// five loose cells so per-shard counters fold into snapshots with a
-/// single [`RouterCounters::merge`] and cannot drift field-by-field.
+/// The router's throughput and plan-cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterCounters {
     /// Datagrams that produced at least one forwarding decision.
@@ -152,38 +144,23 @@ pub struct RouterCounters {
     pub relay_hops: u64,
 }
 
-impl RouterCounters {
-    /// Fold another counter block into this one (shard → router, or
-    /// router → deployment totals).
-    pub fn merge(&mut self, other: &RouterCounters) {
-        self.tuples_routed += other.tuples_routed;
-        self.tuples_dropped += other.tuples_dropped;
-        self.plan_hits += other.plan_hits;
-        self.plan_misses += other.plan_misses;
-        self.projections_built += other.projections_built;
-        self.relay_hops += other.relay_hops;
-    }
-}
-
 /// Per-destination compiled plans for one (schema, stream) pair. A
 /// linear-scan small-map: a node forwards to a handful of destinations,
 /// and `Destination` compares as two integers — cheaper per tuple than
 /// hashing into a `HashMap` ever was.
 type PlanMap = Vec<(Destination, Option<Arc<ProjectionPlan>>)>;
 
-/// Compiled projection plans and relay verdicts of one routing shard,
-/// keyed by (incoming schema, stream) and then destination or arrival
-/// link, plus the shard's reusable match and grouping buffers.
+/// Compiled projection plans and relay verdicts of one router, keyed by
+/// (incoming schema, stream) and then destination or arrival link, plus
+/// the router's reusable match and grouping buffers.
 ///
 /// Also a linear-scan structure: the first key component is an interned
 /// [`SchemaId`] (an integer compare) and the second an `Arc<str>` whose
 /// pointer identity short-circuits the string compare on the hot path.
-/// A shard only ever sees the few (schema, stream) pairs routed through
-/// it, so the scan beats hashing the stream name per tuple — switching
-/// the serial single-tuple path to this store is what put it back ahead
-/// of the seed path (see `BENCH_routing.json`).
+/// A router only ever sees the few (schema, stream) pairs routed through
+/// it, so the scan beats hashing the stream name per tuple.
 #[derive(Debug, Clone, Default)]
-pub struct PlanStore {
+struct PlanStore {
     entries: Vec<PlanEntry>,
     scratch: Scratch,
 }
@@ -216,7 +193,7 @@ struct Slot {
     out: usize,
 }
 
-/// Buffers reused from batch to batch by one shard. `key_slot[k]` is
+/// Buffers reused from batch to batch by one router. `key_slot[k]` is
 /// the slot of `matches.keys()[k]`, or [`NO_SLOT`] for the arrival link.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
@@ -228,24 +205,18 @@ struct Scratch {
 const NO_SLOT: usize = usize::MAX;
 
 impl PlanStore {
-    /// An empty store.
-    pub fn new() -> PlanStore {
-        PlanStore::default()
-    }
-
-    /// Drop every compiled plan (the shard-side half of the invalidation
-    /// contract: called whenever the interest generation moves).
-    pub fn clear(&mut self) {
+    /// Drop every compiled plan and relay verdict.
+    fn clear(&mut self) {
         self.entries.clear();
     }
 
     /// Number of compiled plans currently cached.
-    pub fn plan_count(&self) -> usize {
+    fn plan_count(&self) -> usize {
         self.entries.iter().map(|e| e.plans.len()).sum()
     }
 
     /// The entry for one (schema, stream) pair, created empty on first
-    /// use, and the shard's scratch buffers beside it.
+    /// use, and the scratch buffers beside it.
     fn entry_mut(
         &mut self,
         schema: SchemaId,
@@ -271,9 +242,8 @@ impl PlanStore {
     }
 }
 
-/// The immutable half of a router: the installed interests and the match
-/// engine built from them. Shared copy-on-write between the owning
-/// [`Router`] and worker-thread snapshots ([`SharedRouter`]).
+/// The installed interests of a router and the match engine built from
+/// them.
 #[derive(Debug, Clone)]
 struct RouterCore {
     node: NodeId,
@@ -407,7 +377,7 @@ impl RouterCore {
         verdict.to
     }
 
-    /// Route one datagram against caller-owned shard state.
+    /// Route one datagram, caching plans in `store`.
     fn route_with(
         &self,
         store: &mut PlanStore,
@@ -446,9 +416,9 @@ impl RouterCore {
         out
     }
 
-    /// Route a stream-homogeneous batch against caller-owned shard
-    /// state. `upstream` is the router the batch arrived from and its
-    /// interest generation (`None` for a batch entering the network
+    /// Route a stream-homogeneous batch, caching plans and relay
+    /// verdicts in `store`. `upstream` is the router the batch arrived
+    /// from and its interest generation (`None` for a batch entering the network
     /// here, or when the caller cannot name it): with it the hop may
     /// relay, moving an owned batch through untouched.
     fn route_batch_with(
@@ -565,69 +535,17 @@ impl RouterCore {
     }
 }
 
-/// A thread-shareable snapshot of one router's interest state, taken
-/// with [`Router::shared`]. Routing through a snapshot uses shard-owned
-/// [`PlanStore`] and [`RouterCounters`] state — no lock, no interior
-/// mutability — and is observably identical to routing through the
-/// router itself at the same interest generation.
-#[derive(Debug, Clone)]
-pub struct SharedRouter {
-    core: Arc<RouterCore>,
-    generation: u64,
-}
-
-impl SharedRouter {
-    /// The node the snapshot was taken from.
-    pub fn node(&self) -> NodeId {
-        self.core.node
-    }
-
-    /// The interest generation the snapshot was taken at. A shard whose
-    /// store was filled at a different generation must
-    /// [clear](PlanStore::clear) it before routing through this
-    /// snapshot.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Route a stream-homogeneous batch that arrived from `upstream`'s
-    /// snapshot (`None` = entered the network here) against shard-owned
-    /// state. Identical decisions, counter movements, and plan-store
-    /// churn as [`Router::route_hop`] on the snapshotted routers —
-    /// relays included.
-    pub fn route_batch_with<'a>(
-        &self,
-        store: &mut PlanStore,
-        counters: &mut RouterCounters,
-        tuples: impl Into<Cow<'a, [Tuple]>>,
-        schema: &Schema,
-        upstream: Option<&SharedRouter>,
-    ) -> Vec<BatchForward> {
-        self.core.route_batch_with(
-            store,
-            counters,
-            tuples.into(),
-            schema,
-            upstream.map(SharedRouter::node),
-            upstream.map(|u| (&*u.core, u.generation)),
-        )
-    }
-}
-
 /// The routing state of one CBN node.
 #[derive(Debug, Clone)]
 pub struct Router {
-    /// Interests + match engine, shared copy-on-write with worker
-    /// snapshots; mutated through [`Arc::make_mut`].
-    core: Arc<RouterCore>,
-    /// Compiled projection plans of the router's own (serial) shard.
-    /// Cleared whenever the installed interests change (see
+    /// Interests + match engine.
+    core: RouterCore,
+    /// Compiled projection plans and relay verdicts. Cleared whenever
+    /// the installed interests change (see
     /// [`Router::interest_generation`]).
     plans: RefCell<PlanStore>,
-    /// Bumped on every interest mutation; plan caches keyed off a stale
-    /// generation are unreachable because the cache is cleared in the
-    /// same call (and threaded shards clear theirs when the generation
-    /// sum they watch moves).
+    /// Bumped on every interest mutation, in the same call that clears
+    /// the plan cache; downstream relay verdicts are stamped with it.
     interest_gen: u64,
     counters: Cell<RouterCounters>,
 }
@@ -636,45 +554,28 @@ impl Router {
     /// A router for the given node with no interests installed.
     pub fn new(node: NodeId) -> Router {
         Router {
-            core: Arc::new(RouterCore {
+            core: RouterCore {
                 node,
                 neighbor_interest: BTreeMap::new(),
                 local_interest: BTreeMap::new(),
                 engine: CountingMatcher::new(),
-            }),
-            plans: RefCell::new(PlanStore::new()),
+            },
+            plans: RefCell::new(PlanStore::default()),
             interest_gen: 0,
             counters: Cell::new(RouterCounters::default()),
         }
     }
 
-    /// The mutable core (copy-on-write: clones only while a
-    /// [`SharedRouter`] snapshot is outstanding).
-    fn core_mut(&mut self) -> &mut RouterCore {
-        Arc::make_mut(&mut self.core)
-    }
-
     /// Drop every compiled plan and stamp a new interest generation.
     /// Called by every interest mutator — the invalidation contract is
     /// "any change to any installed profile clears the whole cache".
-    ///
-    /// `cosmos-det check` model-checks this contract as the `Mutate`
-    /// action (`cosmos_det::model`): eliding the generation bump is the
-    /// `--inject-skip-bump` canary, caught by the `stale-core` property;
-    /// eliding the clear is `--inject-skip-invalidate`.
+    /// Skipping the clear serves stale plans
+    /// (`widened_projection_is_not_served_from_a_stale_plan`); skipping
+    /// the bump serves stale relay verdicts downstream
+    /// (`verdict_is_recomputed_when_the_upstream_generation_moves`).
     fn invalidate_plans(&mut self) {
         self.interest_gen += 1;
         self.plans.get_mut().clear();
-    }
-
-    /// A copy-on-write snapshot of this router's interest state for a
-    /// worker thread. Cheap (two refcount bumps) unless an interest
-    /// mutation follows while the snapshot is alive.
-    pub fn shared(&self) -> SharedRouter {
-        SharedRouter {
-            core: Arc::clone(&self.core),
-            generation: self.interest_gen,
-        }
     }
 
     /// The node this router belongs to.
@@ -685,7 +586,7 @@ impl Router {
     /// Replace the merged interest of the subtree behind `neighbor`.
     pub fn set_neighbor_interest(&mut self, neighbor: NodeId, profile: Profile) {
         self.invalidate_plans();
-        let core = self.core_mut();
+        let core = &mut self.core;
         if profile.is_empty() {
             core.neighbor_interest.remove(&neighbor);
             core.engine.remove(&Destination::Neighbor(neighbor));
@@ -711,7 +612,7 @@ impl Router {
     /// re-propagated along the new paths.
     pub fn clear_neighbor_interests(&mut self) {
         self.invalidate_plans();
-        let core = self.core_mut();
+        let core = &mut self.core;
         let neighbors: Vec<NodeId> = core.neighbor_interest.keys().copied().collect();
         for n in neighbors {
             core.engine.remove(&Destination::Neighbor(n));
@@ -733,7 +634,7 @@ impl Router {
     /// Install the profile of a locally attached subscriber.
     pub fn add_local_subscriber(&mut self, sub: SubscriberId, profile: Profile) {
         self.invalidate_plans();
-        let core = self.core_mut();
+        let core = &mut self.core;
         core.engine.insert(Destination::Local(sub), profile.clone());
         core.local_interest.insert(sub, profile);
     }
@@ -741,7 +642,7 @@ impl Router {
     /// Remove a locally attached subscriber.
     pub fn remove_local_subscriber(&mut self, sub: SubscriberId) {
         self.invalidate_plans();
-        let core = self.core_mut();
+        let core = &mut self.core;
         core.local_interest.remove(&sub);
         core.engine.remove(&Destination::Local(sub));
     }
@@ -838,7 +739,7 @@ impl Router {
             tuples.into(),
             schema,
             upstream.map(Router::node),
-            upstream.map(|u| (&*u.core, u.interest_gen)),
+            upstream.map(|u| (&u.core, u.interest_gen)),
         )
     }
 
@@ -928,9 +829,7 @@ impl Router {
         self.interest_gen
     }
 
-    /// Number of compiled plans currently cached in the router's own
-    /// (serial) store. Threaded shards own their stores; the driver
-    /// accounts them separately.
+    /// Number of compiled plans currently cached.
     pub fn cached_plan_count(&self) -> usize {
         self.plans.borrow().plan_count()
     }
@@ -938,15 +837,6 @@ impl Router {
     /// The counter block (throughput + plan-cache counters).
     pub fn counters(&self) -> RouterCounters {
         self.counters.get()
-    }
-
-    /// Fold a shard's counter delta into this router — how per-shard
-    /// counters from worker threads re-enter the deployment totals
-    /// without field-by-field drift.
-    pub fn absorb_counters(&self, delta: &RouterCounters) {
-        let mut c = self.counters.get();
-        c.merge(delta);
-        self.counters.set(c);
     }
 
     /// `(hits, misses)` of the projection-plan cache.
@@ -1144,6 +1034,24 @@ mod tests {
         assert!(r.interest_generation() > g1);
     }
 
+    /// The behavioural half of the invalidation contract: after an
+    /// interest mutation widens a projection, the next batch is routed
+    /// with a freshly compiled plan, never the cached narrow one.
+    #[test]
+    fn widened_projection_is_not_served_from_a_stale_plan() {
+        let mut r = Router::new(NodeId(0));
+        r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id"]));
+        let s = schema();
+        let narrow = r.route_batch(&[tup(5, 1.0)], &s, None);
+        assert_eq!(narrow[0].tuples[0].values(), &[Value::Int(5)]);
+        r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id", "price"]));
+        let wide = r.route_batch(&[tup(5, 2.5)], &s, None);
+        assert_eq!(
+            wide[0].tuples[0].values(),
+            &[Value::Int(5), Value::Float(2.5)]
+        );
+    }
+
     #[test]
     fn identical_projections_share_one_projected_tuple() {
         let mut r = Router::new(NodeId(0));
@@ -1249,150 +1157,6 @@ mod tests {
         r.set_neighbor_interest(NodeId(1), Profile::new());
         assert!(r.neighbor_interest(NodeId(1)).is_none());
         assert_eq!(r.route(&tup(5, 0.0), &schema(), None).len(), 0);
-    }
-
-    #[test]
-    fn router_counters_merge_folds_every_field() {
-        let mut a = RouterCounters {
-            tuples_routed: 1,
-            tuples_dropped: 2,
-            plan_hits: 3,
-            plan_misses: 4,
-            projections_built: 5,
-            relay_hops: 6,
-        };
-        let b = RouterCounters {
-            tuples_routed: 10,
-            tuples_dropped: 20,
-            plan_hits: 30,
-            plan_misses: 40,
-            projections_built: 50,
-            relay_hops: 60,
-        };
-        a.merge(&b);
-        assert_eq!(
-            a,
-            RouterCounters {
-                tuples_routed: 11,
-                tuples_dropped: 22,
-                plan_hits: 33,
-                plan_misses: 44,
-                projections_built: 55,
-                relay_hops: 66,
-            }
-        );
-        let mut r = Router::new(NodeId(0));
-        r.set_neighbor_interest(NodeId(1), interest(0, 10, &[]));
-        r.route(&tup(5, 1.0), &schema(), None);
-        r.absorb_counters(&b);
-        assert_eq!(r.tuples_routed(), 11);
-        assert_eq!(r.plan_cache_stats(), (30, 41));
-    }
-
-    #[test]
-    fn shared_snapshot_routes_identically_with_shard_state() {
-        let mut r = Router::new(NodeId(0));
-        r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id"]));
-        r.add_local_subscriber(SubscriberId(7), interest(0, 30, &[]));
-        let s = schema();
-        let batch: Vec<Tuple> = (0..20).map(|i| tup(i % 15, i as f64)).collect();
-
-        let shared = r.shared();
-        let mut store = PlanStore::new();
-        let mut counters = RouterCounters::default();
-        let via_shard = shared.route_batch_with(&mut store, &mut counters, &batch, &s, None);
-        let via_router = r.route_batch(&batch, &s, None);
-        assert_eq!(via_shard, via_router);
-        assert_eq!(counters, r.counters());
-        assert_eq!(store.plan_count(), r.cached_plan_count());
-    }
-
-    /// The cross-thread half of the invalidation contract: a shard that
-    /// keeps routing through a stale plan store after an interest
-    /// mutation on another shard serves stale plans; the generation
-    /// stamp makes the staleness observable on the other thread, and
-    /// clearing the store (what the driver's epoch watch does) restores
-    /// agreement with the mutated router.
-    #[test]
-    fn interest_mutation_is_visible_across_threads_via_generation() {
-        let mut r = Router::new(NodeId(0));
-        r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id"]));
-        let s = schema();
-
-        // Shard thread A: route through a snapshot, fill its own store.
-        let snap_a = r.shared();
-        let schema_a = s.clone();
-        let (store, counters, narrow) = std::thread::spawn(move || {
-            let mut store = PlanStore::new();
-            let mut counters = RouterCounters::default();
-            let fwd = snap_a.route_batch_with(
-                &mut store,
-                &mut counters,
-                vec![tup(5, 1.0)],
-                &schema_a,
-                None,
-            );
-            (store, counters, fwd[0].tuples[0].values().to_vec())
-        })
-        .join()
-        .unwrap();
-        assert_eq!(narrow, vec![Value::Int(5)], "plan projects onto [id]");
-        assert_eq!(counters.plan_misses, 1);
-
-        // Driver thread: mutate the interest (widen the projection).
-        // The snapshot the shard held is copy-on-write — the mutation
-        // lands in a fresh core and bumps the generation.
-        let gen_before = r.interest_generation();
-        r.set_neighbor_interest(NodeId(1), interest(0, 10, &["id", "price"]));
-        assert!(r.interest_generation() > gen_before);
-
-        // Shard thread B at the new generation. Routing with the STALE
-        // store serves the stale narrow plan — exactly the bug the
-        // generation watch exists to prevent...
-        let snap_b = r.shared();
-        assert!(snap_b.generation() > gen_before);
-        let schema_b = s.clone();
-        let (mut store, stale, fresh) = std::thread::spawn(move || {
-            let mut stale_store = store;
-            let mut c = RouterCounters::default();
-            let stale = snap_b.route_batch_with(
-                &mut stale_store,
-                &mut c,
-                vec![tup(5, 2.5)],
-                &schema_b,
-                None,
-            );
-            // ...so a shard observing the generation move must clear.
-            stale_store.clear();
-            let fresh = snap_b.route_batch_with(
-                &mut stale_store,
-                &mut c,
-                vec![tup(5, 2.5)],
-                &schema_b,
-                None,
-            );
-            (stale_store, stale, fresh)
-        })
-        .join()
-        .unwrap();
-        assert_eq!(
-            stale[0].tuples[0].values(),
-            &[Value::Int(5)],
-            "stale store still serves the pre-mutation plan"
-        );
-        assert_eq!(
-            fresh[0].tuples[0].values(),
-            &[Value::Int(5), Value::Float(2.5)],
-            "cleared store recompiles against the mutated interest"
-        );
-        // And the shard's post-clear state agrees with the router's own.
-        store.clear();
-        let mut c = RouterCounters::default();
-        let shard = r
-            .shared()
-            .route_batch_with(&mut store, &mut c, vec![tup(5, 2.5)], &s, None);
-        let own = r.route_batch(&[tup(5, 2.5)], &s, None);
-        assert_eq!(shard, own);
     }
 
     /// A three-node chain 0 → 1 → 2 for the relay tests: the upstream
@@ -1515,36 +1279,5 @@ mod tests {
             .collect();
         check(&up, &r, &narrow, &projected);
         assert_eq!(r.tuples_dropped(), projected.len() as u64);
-    }
-
-    #[test]
-    fn shared_snapshots_relay_like_the_router() {
-        let (up, r) = chain(interest(2, 8, &[]), interest(0, 10, &[]));
-        let s = schema();
-        let batch: Vec<Tuple> = (2..=8).map(|i| tup(i, 1.0)).collect();
-        let mut store = PlanStore::new();
-        let mut counters = RouterCounters::default();
-        let via_shard = r.shared().route_batch_with(
-            &mut store,
-            &mut counters,
-            batch.clone(),
-            &s,
-            Some(&up.shared()),
-        );
-        let via_router = r.route_hop(batch, &s, Some(&up));
-        assert_eq!(via_shard, via_router);
-        assert_eq!(counters, r.counters());
-        assert_eq!(counters.relay_hops, 1);
-        assert_eq!(store.plan_count(), r.cached_plan_count());
-    }
-
-    /// `SharedRouter` and its shard state are Send + Sync by
-    /// construction — the compile-time guarantee the worker pool needs.
-    #[test]
-    fn shared_router_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SharedRouter>();
-        assert_send_sync::<PlanStore>();
-        assert_send_sync::<RouterCounters>();
     }
 }

@@ -352,6 +352,39 @@ mod tests {
         assert_eq!(sys.results(qt).len(), 8);
     }
 
+    /// Repair may re-attach a subtree over a logical link and leave the
+    /// physical graph partitioned. A source tree rooted beyond the cut
+    /// cannot be built then: registering a stream there fails cleanly
+    /// and registers nothing.
+    #[test]
+    fn partitioned_graph_rejects_a_new_source_tree() {
+        let mut g = Graph::new(4);
+        for i in 0..4u32 {
+            g.set_position(NodeId(i), f64::from(i) * 0.3, 0.0);
+        }
+        for i in 0..3u32 {
+            g.add_edge_by_distance(NodeId(i), NodeId(i + 1)).unwrap();
+        }
+        let cfg = CosmosConfig {
+            nodes: 4,
+            processor_fraction: 0.25,
+            per_source_trees: true,
+            ..CosmosConfig::default()
+        };
+        let mut sys = Cosmos::with_graph(cfg, g).unwrap();
+        let schema = Schema::of(&[("k", AttrType::Int), ("timestamp", AttrType::Int)]);
+        let stats = StreamStats::with_rate(1.0).attr("k", AttrStats::categorical(10.0));
+        sys.register_stream("S", schema.clone(), stats.clone(), NodeId(0))
+            .unwrap();
+        // 1-2 is a bridge: the repair heals the tree over a logical link.
+        sys.fail_tree_link(NodeId(1), NodeId(2)).unwrap();
+        let err = sys
+            .register_stream("T", schema, stats, NodeId(3))
+            .unwrap_err();
+        assert!(err.to_string().contains("no physical path"), "{err}");
+        assert!(sys.registry().origin(&"T".into()).is_none());
+    }
+
     /// Satellite-3 regression: after repairs put a *weighted* overlay
     /// edge (weight 5.0, distance 0.9) on the delivery path, the
     /// runtime's measured `weighted_cost` and the optimizer's estimated

@@ -31,7 +31,6 @@ pub mod autotune;
 pub mod experiment;
 pub mod fault;
 pub mod overload;
-mod parallel;
 pub mod snapshot;
 pub mod system;
 

@@ -3,8 +3,8 @@
 //!
 //! Every node gets an intake *budget* — bytes or tuples per metrics
 //! rate window. The controller sits on the single shared delivery
-//! point ([`Cosmos::publish_batch`]'s `deliver_local`, used verbatim by
-//! the serial BFS and the parallel replay), so a user delivery that
+//! point ([`Cosmos::publish_batch`]'s `deliver_local`), so a user
+//! delivery that
 //! would push the node's measured in-window intake past its budget is
 //! intercepted *before* it lands in the delivery buffer and handled by
 //! a deterministic per-query [`OverloadPolicy`]:

@@ -3,7 +3,6 @@
 
 use crate::autotune::{AutotuneOptions, AutotunePass, AutotunePolicy, AutotuneReport};
 use crate::overload::{Action, OverloadConfig, OverloadController};
-use crate::parallel::{PreForward, RoutingPool};
 use cosmos_cbn::{BatchForward, Destination, Profile, RegistryMode, Router, SchemaRegistry};
 use cosmos_metrics::{relative_drift, MetricsConfig, MetricsHub, MetricsSnapshot, RouterTotals};
 use cosmos_overlay::{generate, minimum_spanning_tree, Graph, TopologyKind, Tree};
@@ -200,10 +199,9 @@ pub struct Cosmos {
     /// findings reject the query at submission instead).
     lint_warnings: FxHashMap<QueryId, Vec<String>>,
     link_bytes: BTreeMap<(NodeId, NodeId), u64>,
-    /// Compensated so the readout is association-order insensitive (the
-    /// serial driver and the shard pool replay hops in the same order
-    /// today, but D0501 holds every oracle-feeding accumulation to the
-    /// same standard).
+    /// Compensated so the readout is association-order insensitive
+    /// (D0501 holds every oracle-feeding accumulation to that
+    /// standard).
     weighted_cost: NeumaierSum,
     tuples_published: u64,
     next_sub: u64,
@@ -232,9 +230,6 @@ pub struct Cosmos {
     /// Source streams closed by their final watermark
     /// ([`Cosmos::close_streams`]); their routing state is pruned.
     closed_streams: BTreeSet<StreamName>,
-    /// Shard-per-core routing workers (`None` = serial driver; see
-    /// [`Cosmos::set_parallelism`]).
-    parallel: Option<RoutingPool>,
     /// Per-node overload controller (`None` = unbounded delivery; see
     /// [`Cosmos::set_overload`]).
     overload: Option<OverloadController>,
@@ -310,7 +305,6 @@ impl Cosmos {
             published_streams: BTreeSet::new(),
             retired_disorder: DisorderStats::default(),
             closed_streams: BTreeSet::new(),
-            parallel: None,
             overload: None,
             autotune_sched: None,
             graph,
@@ -438,10 +432,13 @@ impl Cosmos {
         if origin.index() >= self.routers.len() {
             return Err(CosmosError::System(format!("unknown origin {origin}")));
         }
+        let tree = self.new_source_tree(origin)?;
         self.registry
             .register(name.clone(), schema.clone(), origin)?;
         self.catalog.register(name, schema, stats);
-        self.ensure_source_tree(origin);
+        if let Some(tree) = tree {
+            self.source_trees.insert(origin, tree);
+        }
         Ok(())
     }
 
@@ -483,24 +480,34 @@ impl Cosmos {
 
     /// Lazily build the shortest-path dissemination tree rooted at a
     /// stream origin (multi-tree mode).
-    fn ensure_source_tree(&mut self, origin: NodeId) {
+    fn ensure_source_tree(&mut self, origin: NodeId) -> Result<()> {
+        if let Some(tree) = self.new_source_tree(origin)? {
+            self.source_trees.insert(origin, tree);
+        }
+        Ok(())
+    }
+
+    /// The shortest-path tree [`Cosmos::ensure_source_tree`] would add
+    /// for `origin`, or `None` when it adds nothing. Fails when the
+    /// physical graph no longer reaches every node from `origin`: fault
+    /// repair may have re-attached a subtree over a logical link only.
+    fn new_source_tree(&self, origin: NodeId) -> Result<Option<Tree>> {
         if !self.cfg.per_source_trees || self.source_trees.contains_key(&origin) {
-            return;
+            return Ok(None);
         }
         let sp = cosmos_overlay::dijkstra(&self.graph, origin);
         let edges: Vec<(NodeId, NodeId)> = self
             .graph
             .nodes()
             .filter(|&v| v != origin)
-            .map(|v| {
-                let path = sp.path_to(v);
-                debug_assert!(path.len() >= 2, "overlay must be connected");
-                (path[path.len() - 2], v)
+            .map(|v| match sp.path_to(v).as_slice() {
+                [.., parent, _] => Ok((*parent, v)),
+                _ => Err(CosmosError::System(format!(
+                    "no physical path from {origin} to {v}: cannot build its source tree"
+                ))),
             })
-            .collect();
-        let tree = Tree::from_edges(self.graph.node_count(), origin, &edges)
-            .expect("shortest-path tree of a connected graph is a tree");
-        self.source_trees.insert(origin, tree);
+            .collect::<Result<_>>()?;
+        Tree::from_edges(self.graph.node_count(), origin, &edges).map(Some)
     }
 
     /// Propagate a data-interest profile from `from` towards `origin`
@@ -616,12 +623,16 @@ impl Cosmos {
         warnings: Vec<String>,
         user: NodeId,
     ) -> Result<QueryId> {
+        let processor = self.pick_processor(&analyzed);
+        // A new representative needs its processor's source tree: build
+        // it before anything changes, so a partitioned graph rejects the
+        // query whole.
+        let tree = self.new_source_tree(processor)?;
         let qid = QueryId(self.next_query);
         self.next_query += 1;
         if !warnings.is_empty() {
             self.lint_warnings.insert(qid, warnings);
         }
-        let processor = self.pick_processor(&analyzed);
         *self.processor_load.entry(processor).or_insert(0) += 1;
 
         // Query management: group/merge, or the non-share baseline.
@@ -657,7 +668,9 @@ impl Cosmos {
 
         if rep_is_new {
             // Advertise the result stream and start the representative.
-            self.ensure_source_tree(processor);
+            if let Some(tree) = tree {
+                self.source_trees.insert(processor, tree);
+            }
             self.registry
                 .register(result_stream.clone(), rep.output_schema.clone(), processor)?;
             self.catalog.register(
@@ -813,7 +826,7 @@ impl Cosmos {
                 .map(|g| (g.result_stream.clone(), g.representative.clone()))
                 .collect();
             for (stream, rep) in groups {
-                self.ensure_source_tree(p);
+                self.ensure_source_tree(p)?;
                 let rate = cosmos_query::estimate::output_tuples_per_sec(&rep, &self.catalog);
                 self.registry
                     .register(stream.clone(), rep.output_schema.clone(), p)?;
@@ -1048,89 +1061,10 @@ impl Cosmos {
             self.autotune_tick();
             return Ok(());
         }
-        // Cascading-rep topologies keep all source routing on the main
-        // routers (store-placement consistency with the fallback above);
-        // otherwise route through the worker pool when one is armed.
-        if self.parallel.is_some() && !self.cascading {
-            let mut pool = self.parallel.take().expect("checked above");
-            pool.ensure_snapshot(&self.routers);
-            let seq = pool.dispatch(origin, tuples.to_vec(), schema);
-            let routed = pool.wait_for(seq);
-            self.replay_routed(routed);
-            self.parallel = Some(pool);
-            self.after_publish(tuples);
-            self.autotune_tick();
-            return Ok(());
-        }
         self.drive(origin, tuples, &schema);
         self.after_publish(tuples);
         self.autotune_tick();
         Ok(())
-    }
-
-    /// Replay one worker-routed batch on the driver thread, reproducing
-    /// the serial BFS effect order exactly: precomputed source-derived
-    /// hops are replayed FIFO, and SPE result streams route *live* on
-    /// the main routers, interleaved at the precise queue positions the
-    /// serial driver would give them. Counter deltas from the worker
-    /// shard fold back into the routers first — the same totals, in one
-    /// merge instead of per-tuple cell bumps.
-    fn replay_routed(&mut self, routed: crate::parallel::RoutedBatch) {
-        for (node, delta) in &routed.counters {
-            self.routers[node.index()].absorb_counters(delta);
-        }
-        enum Entry {
-            /// Index into the precomputed source-derived hops.
-            Pre(usize),
-            /// A live hop carrying SPE result tuples.
-            Live(Hop),
-        }
-        let mut hops: Vec<Option<crate::parallel::PreHop>> =
-            routed.hops.into_iter().map(Some).collect();
-        let mut queue: VecDeque<Entry> = VecDeque::new();
-        if !hops.is_empty() {
-            queue.push_back(Entry::Pre(0));
-        }
-        while let Some(entry) = queue.pop_front() {
-            match entry {
-                Entry::Pre(i) => {
-                    let pre = hops[i].take().expect("each pre-hop replays once");
-                    let at = pre.at;
-                    for f in pre.forwards {
-                        match f {
-                            PreForward::Neighbor {
-                                to,
-                                child,
-                                tuples_len,
-                                bytes,
-                            } => {
-                                self.account_link(at, to, bytes);
-                                self.metrics.on_link(at, to, tuples_len, bytes);
-                                queue.push_back(Entry::Pre(child));
-                            }
-                            PreForward::Local {
-                                sub,
-                                tuples,
-                                schema,
-                            } => {
-                                if let Some(hop) = self.deliver_local(at, sub, tuples, &schema) {
-                                    queue.push_back(Entry::Live(hop));
-                                }
-                            }
-                        }
-                    }
-                }
-                Entry::Live(hop) => {
-                    let at = hop.at;
-                    let forwards = self.route_hop(hop);
-                    let mut tmp: VecDeque<Hop> = VecDeque::new();
-                    self.process_forwards(at, forwards, &mut tmp);
-                    for h in tmp {
-                        queue.push_back(Entry::Live(h));
-                    }
-                }
-            }
-        }
     }
 
     /// Drive an already-validated source batch from its origin through
@@ -1151,8 +1085,7 @@ impl Cosmos {
         }
     }
 
-    /// Route one hop on the serial driver — every serial hop goes
-    /// through here. The router the batch arrived from is handed along,
+    /// Route one hop — every hop goes through here. The router the batch arrived from is handed along,
     /// so the hop relays without matching where that is proven
     /// (DESIGN.md §17), moving the hop's owned batch.
     fn route_hop(&self, hop: Hop) -> Vec<BatchForward> {
@@ -1196,8 +1129,7 @@ impl Cosmos {
     /// SPE input gets the batch pushed through its executor (returning
     /// the result datagrams re-entering the network as a new hop, if
     /// any), a user subscription gets the tuples appended to its
-    /// delivery buffer. Shared verbatim by the serial BFS and the
-    /// parallel replay so the two paths cannot drift.
+    /// delivery buffer.
     fn deliver_local(
         &mut self,
         at: NodeId,
@@ -1585,16 +1517,7 @@ impl Cosmos {
 
     /// Publish a timestamp-ordered input sequence, batching maximal
     /// consecutive same-stream runs through [`Cosmos::publish_batch`].
-    ///
-    /// With [`Cosmos::set_parallelism`] armed (and no cascading
-    /// representatives), batches are pipelined through the routing
-    /// pool: while the driver replays batch `k`'s effects, workers
-    /// route batches `k+1..` of other streams. Delivery is bit-for-bit
-    /// identical either way.
     pub fn run_batched<I: IntoIterator<Item = Tuple>>(&mut self, inputs: I) -> Result<()> {
-        if self.parallel.is_some() && !self.cascading {
-            return self.run_batched_parallel(inputs);
-        }
         let mut pending: Vec<Tuple> = Vec::new();
         for t in inputs {
             if pending.last().is_some_and(|p| p.stream != t.stream) {
@@ -1607,111 +1530,6 @@ impl Cosmos {
             self.publish_batch(&pending)?;
         }
         Ok(())
-    }
-
-    /// The pipelined variant of [`Cosmos::run_batched`]: cut maximal
-    /// same-stream runs, dispatch each to its stream's shard up to a
-    /// bounded in-flight window, and replay routed outputs strictly in
-    /// dispatch order — the deterministic (virtual-time, stream, seq)
-    /// merge. Per batch, the serial prologue (publish accounting,
-    /// metrics observation) runs immediately before its replay and the
-    /// watermark epilogue immediately after, exactly as the serial
-    /// driver interleaves them.
-    ///
-    /// Batch validation happens at dispatch time; this is equivalent to
-    /// the serial driver's validate-at-publish because registration
-    /// state cannot change while a run is in progress. On a validation
-    /// error, every batch dispatched before the bad one is still
-    /// replayed (matching serial partial progress) and the error is
-    /// then returned.
-    fn run_batched_parallel<I: IntoIterator<Item = Tuple>>(&mut self, inputs: I) -> Result<()> {
-        let mut pool = self.parallel.take().expect("caller checked");
-        pool.ensure_snapshot(&self.routers);
-        let window = 2 * pool.parallelism();
-        // Dispatched batches awaiting replay: (seq, tuples, schema).
-        let mut awaiting: VecDeque<(u64, Vec<Tuple>, Schema)> = VecDeque::new();
-        let mut error: Option<CosmosError> = None;
-
-        let replay_front =
-            |sys: &mut Cosmos, pool: &mut RoutingPool, awaiting: &mut VecDeque<_>| {
-                let (seq, tuples, schema): (u64, Vec<Tuple>, Schema) =
-                    awaiting.pop_front().expect("caller checked non-empty");
-                let stream = &tuples.first().expect("batches are non-empty").stream;
-                sys.tuples_published += tuples.len() as u64;
-                sys.metrics.on_publish(stream, &schema, &tuples);
-                if sys.disorder.is_some() {
-                    sys.published_streams.insert(stream.clone());
-                }
-                let routed = pool.wait_for(seq);
-                sys.replay_routed(routed);
-                sys.after_publish(&tuples);
-            };
-
-        let dispatch = |sys: &mut Cosmos,
-                        pool: &mut RoutingPool,
-                        awaiting: &mut VecDeque<(u64, Vec<Tuple>, Schema)>,
-                        batch: Vec<Tuple>|
-         -> Result<()> {
-            let first = batch.first().expect("batches are non-empty");
-            let reg = sys.registry.peek(&first.stream).ok_or_else(|| {
-                CosmosError::System(format!("stream '{}' is not advertised", first.stream))
-            })?;
-            let (origin, schema) = (reg.origin, reg.schema.clone());
-            while awaiting.len() >= window {
-                replay_front(sys, pool, awaiting);
-            }
-            let seq = pool.dispatch(origin, batch.clone(), schema.clone());
-            awaiting.push_back((seq, batch, schema));
-            Ok(())
-        };
-
-        let mut pending: Vec<Tuple> = Vec::new();
-        for t in inputs {
-            if pending.last().is_some_and(|p| p.stream != t.stream) {
-                let batch = std::mem::take(&mut pending);
-                if let Err(e) = dispatch(self, &mut pool, &mut awaiting, batch) {
-                    error = Some(e);
-                    break;
-                }
-            }
-            pending.push(t);
-        }
-        if error.is_none() && !pending.is_empty() {
-            if let Err(e) = dispatch(self, &mut pool, &mut awaiting, pending) {
-                error = Some(e);
-            }
-        }
-        while !awaiting.is_empty() {
-            replay_front(self, &mut pool, &mut awaiting);
-        }
-        self.parallel = Some(pool);
-        // One deferred tick for the whole run: inside the loop a pass
-        // could rebuild routes while later batches are still in flight
-        // against the workers' router snapshots.
-        self.autotune_tick();
-        match error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Arm (or disarm) shard-per-core parallel routing with a fixed
-    /// pool of `n` std worker threads. `n <= 1` restores the serial
-    /// driver (joining any existing workers). Routing through the pool
-    /// is observably identical to the serial driver — same deliveries,
-    /// same byte and cost accounting, same metrics, same digests — at
-    /// any `n`; only wall-clock time changes.
-    pub fn set_parallelism(&mut self, n: usize) {
-        if n <= 1 {
-            self.parallel = None;
-        } else if self.parallel.as_ref().map(RoutingPool::parallelism) != Some(n) {
-            self.parallel = Some(RoutingPool::new(n));
-        }
-    }
-
-    /// Number of routing workers (1 = serial driver).
-    pub fn parallelism(&self) -> usize {
-        self.parallel.as_ref().map_or(1, RoutingPool::parallelism)
     }
 
     /// Arm (or disarm) the per-node overload controller. With a
@@ -1856,14 +1674,6 @@ impl Cosmos {
         let mut router = RouterTotals::default();
         for r in &self.routers {
             router.fold_counters(&r.counters(), r.cached_plan_count() as u64);
-        }
-        if let Some(pool) = &self.parallel {
-            // Worker shards own the plan stores of the streams they
-            // route; count them here (current-generation stores only)
-            // so the gauge equals the serial driver's, where every plan
-            // lives in the routers' own stores.
-            router.cached_plans +=
-                pool.cached_plans(|n| self.routers[n.index()].interest_generation());
         }
         self.metrics.snapshot(router)
     }
@@ -2031,9 +1841,7 @@ impl Cosmos {
     }
 
     /// Evaluate the armed scheduling policy at the current virtual
-    /// time. Called by the publish driver after each publish completes
-    /// (never mid-replay: a tree rebuild would invalidate in-flight
-    /// worker router snapshots).
+    /// time. Called by the publish driver after each publish completes.
     fn autotune_tick(&mut self) {
         let Some(mut sched) = self.autotune_sched.take() else {
             return;
@@ -2508,89 +2316,12 @@ mod tests {
         assert_eq!(sys.tuples_published(), 16);
     }
 
-    /// The tentpole guarantee: the shard-per-core driver is observably
-    /// identical to the serial one — deliveries, link-byte accounting,
-    /// f64 cost accumulation (bit-for-bit), the full metrics snapshot
-    /// (including the plan-cache gauge, whose plans live in worker
-    /// shards), and the routing digest — across interest mutations
-    /// between runs.
-    #[test]
-    fn parallel_routing_is_bit_identical_to_serial() {
-        let mut inputs = Vec::new();
-        for i in 0..30i64 {
-            inputs.push(s_tuple(i * 1000, i % 7, (i * 11 % 100) as f64));
-            if i % 3 == 0 {
-                inputs.push(Tuple::new(
-                    "T",
-                    Timestamp(i * 1000 + 1),
-                    vec![Value::Int(i % 5), Value::Int(i * 1000 + 1)],
-                ));
-            }
-        }
-        let extra: Vec<Tuple> = (30..45i64)
-            .map(|i| s_tuple(i * 1000, i % 7, (i * 13 % 100) as f64))
-            .collect();
-
-        let run = |parallelism: usize| {
-            let mut sys = line_system(true);
-            sys.register_stream(
-                "T",
-                Schema::of(&[("k", AttrType::Int), ("timestamp", AttrType::Int)]),
-                StreamStats::with_rate(1.0).attr("k", AttrStats::categorical(10.0)),
-                NodeId(1),
-            )
-            .unwrap();
-            sys.set_parallelism(parallelism);
-            assert_eq!(sys.parallelism(), parallelism.max(1));
-            let q1 = sys
-                .submit_query("SELECT k, x FROM S [Now] WHERE x > 30.0", NodeId(3))
-                .unwrap();
-            let q2 = sys
-                .submit_query("SELECT k FROM T [Range 5 Second] WHERE k = 3", NodeId(2))
-                .unwrap();
-            sys.run_batched(inputs.iter().cloned()).unwrap();
-            // Interest mutation between runs: the copy-on-write
-            // snapshot must refresh and stale shard plans must not
-            // survive (serial invalidates its plan caches here too).
-            let q3 = sys
-                .submit_query("SELECT k, x FROM S [Now] WHERE x > 60.0", NodeId(1))
-                .unwrap();
-            sys.run_batched(extra.iter().cloned()).unwrap();
-            let delivered: Vec<Vec<Tuple>> = [q1, q2, q3]
-                .iter()
-                .map(|q| sys.results(*q).to_vec())
-                .collect();
-            (
-                delivered,
-                sys.tuples_published(),
-                sys.total_bytes(),
-                sys.weighted_cost().to_bits(),
-                sys.metrics(),
-                sys.routing_digest(),
-            )
-        };
-
-        let serial = run(1);
-        for p in [2, 4] {
-            let parallel = run(p);
-            assert_eq!(serial.0, parallel.0, "deliveries differ at p={p}");
-            assert_eq!(serial.1, parallel.1, "published counts differ at p={p}");
-            assert_eq!(serial.2, parallel.2, "link bytes differ at p={p}");
-            assert_eq!(serial.3, parallel.3, "weighted cost bits differ at p={p}");
-            assert_eq!(serial.4, parallel.4, "metrics snapshots differ at p={p}");
-            assert_eq!(serial.5, parallel.5, "routing digests differ at p={p}");
-        }
-        assert!(!serial.0[0].is_empty(), "q1 must actually deliver");
-        assert!(!serial.0[2].is_empty(), "q3 must actually deliver");
-    }
-
     /// Relays on a Line: source batches of T cross nodes 2 and 1 on
-    /// their way from origin 3 to the processor at 0 (routed by the
-    /// pool's workers when armed), and result batches cross node 1 on
-    /// their way back (routed live on the driver). Relaying must fire,
-    /// and the pool must relay exactly as the serial driver does.
+    /// their way from origin 3 to the processor at 0, and result
+    /// batches cross node 1 on their way back. Relaying must fire on
+    /// both nodes, and both queries must deliver.
     #[test]
-    fn line_hops_relay_and_the_pool_agrees() {
+    fn line_hops_relay() {
         let inputs: Vec<Tuple> = (0..60i64)
             .map(|i| {
                 Tuple::new(
@@ -2600,38 +2331,29 @@ mod tests {
                 )
             })
             .collect();
-        let run = |parallelism: usize| {
-            let mut sys = line_system(true);
-            sys.register_stream(
-                "T",
-                Schema::of(&[("k", AttrType::Int), ("timestamp", AttrType::Int)]),
-                StreamStats::with_rate(1.0).attr("k", AttrStats::categorical(10.0)),
-                NodeId(3),
-            )
+        let mut sys = line_system(true);
+        sys.register_stream(
+            "T",
+            Schema::of(&[("k", AttrType::Int), ("timestamp", AttrType::Int)]),
+            StreamStats::with_rate(1.0).attr("k", AttrStats::categorical(10.0)),
+            NodeId(3),
+        )
+        .unwrap();
+        let q1 = sys
+            .submit_query("SELECT k FROM T [Now] WHERE k > 2", NodeId(2))
             .unwrap();
-            sys.set_parallelism(parallelism);
-            let q1 = sys
-                .submit_query("SELECT k FROM T [Now] WHERE k > 2", NodeId(2))
-                .unwrap();
-            let q2 = sys
-                .submit_query("SELECT k FROM T [Range 5 Second] WHERE k = 3", NodeId(3))
-                .unwrap();
-            sys.run_batched(inputs.iter().cloned()).unwrap();
-            let relay_hops: Vec<u64> = (0..4)
-                .map(|n| sys.router(NodeId(n)).counters().relay_hops)
-                .collect();
-            (
-                [q1, q2].map(|q| sys.results(q).to_vec()),
-                sys.total_bytes(),
-                sys.metrics(),
-                sys.routing_digest(),
-                relay_hops,
-            )
-        };
-        let serial = run(1);
-        assert!(serial.4[1] > 0 && serial.4[2] > 0, "relays: {:?}", serial.4);
-        assert!(!serial.0[0].is_empty() && !serial.0[1].is_empty());
-        assert_eq!(serial, run(2));
+        let q2 = sys
+            .submit_query("SELECT k FROM T [Range 5 Second] WHERE k = 3", NodeId(3))
+            .unwrap();
+        sys.run_batched(inputs).unwrap();
+        let relay_hops: Vec<u64> = (0..4)
+            .map(|n| sys.router(NodeId(n)).counters().relay_hops)
+            .collect();
+        assert!(
+            relay_hops[1] > 0 && relay_hops[2] > 0,
+            "relays: {relay_hops:?}"
+        );
+        assert!(!sys.results(q1).is_empty() && !sys.results(q2).is_empty());
     }
 
     /// The cascading flag follows every change of the representative
@@ -2701,39 +2423,27 @@ mod tests {
         assert_eq!(single, run(true));
     }
 
-    /// Single-batch publishes also route through the pool (correctness
-    /// coverage for the non-pipelined entry point), and validation
-    /// errors behave exactly like the serial driver's.
+    /// A bad batch in the middle of `run_batched` stops the run there:
+    /// every batch before it has fully taken effect, and the bad one
+    /// changes nothing.
     #[test]
-    fn parallel_publish_batch_and_error_paths_match_serial() {
-        let run = |parallelism: usize| {
-            let mut sys = line_system(true);
-            sys.set_parallelism(parallelism);
-            let q = sys
-                .submit_query("SELECT k, x FROM S [Now] WHERE x > 30.0", NodeId(3))
-                .unwrap();
-            for i in 0..10i64 {
-                sys.publish(&s_tuple(i * 1000, i, (i * 12) as f64)).unwrap();
-            }
-            // Unadvertised stream mid-run: earlier batches must have
-            // fully taken effect, the bad one must change nothing.
-            let bad = vec![Tuple::new("Nope", Timestamp(99), vec![Value::Int(1)])];
-            let mixed: Vec<Tuple> = (10..14i64)
-                .map(|i| s_tuple(i * 1000, i, (i * 12) as f64))
-                .chain(bad)
-                .collect();
-            assert!(sys.run_batched(mixed).is_err());
-            (
-                sys.results(q).to_vec(),
-                sys.tuples_published(),
-                sys.total_bytes(),
-                sys.metrics(),
-            )
-        };
-        let serial = run(1);
-        let parallel = run(4);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.1, 14, "the four good tuples before the error count");
+    fn run_batched_stops_at_a_bad_batch() {
+        let mut sys = line_system(true);
+        let q = sys
+            .submit_query("SELECT k, x FROM S [Now] WHERE x > 30.0", NodeId(3))
+            .unwrap();
+        for i in 0..10i64 {
+            sys.publish(&s_tuple(i * 1000, i, (i * 12) as f64)).unwrap();
+        }
+        let delivered = sys.results(q).len();
+        let bad = vec![Tuple::new("Nope", Timestamp(99), vec![Value::Int(1)])];
+        let mixed: Vec<Tuple> = (10..14i64)
+            .map(|i| s_tuple(i * 1000, i, (i * 12) as f64))
+            .chain(bad)
+            .collect();
+        assert!(sys.run_batched(mixed).is_err());
+        assert_eq!(sys.tuples_published(), 14, "the four good tuples count");
+        assert_eq!(sys.results(q).len(), delivered + 4, "x = 120..156 > 30");
     }
 
     #[test]

@@ -54,8 +54,8 @@ const SINK_NAMES: &[&str] = &[
     "to_json",
 ];
 
-/// Lint one file. `rel_path` is workspace-relative and drives the
-/// per-module exemptions (D0401's `core/src/parallel.rs` carve-out).
+/// Lint one file. `rel_path` is workspace-relative and names the file
+/// in findings.
 pub fn lint_file(rel_path: &str, src: &str) -> Vec<Finding> {
     let toks = tokenize(src);
     let skip = test_regions(src, &toks);
@@ -150,19 +150,18 @@ pub fn lint_file(rel_path: &str, src: &str) -> Vec<Finding> {
             );
         }
 
-        // D0401: concurrency primitives outside the one verified
-        // module. Only call-shaped uses count (`spawn(…)`, `select!`),
-        // so an ident named `spawn` in a doc path stays quiet.
-        if !rel_path.ends_with("core/src/parallel.rs")
-            && matches!(name, "spawn" | "try_recv" | "recv_timeout" | "select")
+        // D0401: concurrency primitives anywhere. Only call-shaped
+        // uses count (`spawn(…)`, `select!`), so an ident named `spawn`
+        // in a doc path stays quiet.
+        if matches!(name, "spawn" | "try_recv" | "recv_timeout" | "select")
             && matches!(txt(i + 1), "(" | "!")
         {
             push(
                 codes::DET_UNMANAGED_CONC,
                 format!(
-                    "concurrency primitive `{name}` outside core/src/parallel.rs; only the \
-                     shard-routing pool's interleavings are covered by the detcheck model — route \
-                     parallel work through RoutingPool"
+                    "concurrency primitive `{name}`; the data path is one serial driver, and \
+                     thread interleavings are outside the replay contract — keep the work on \
+                     the driver thread"
                 ),
                 &t,
             );
@@ -176,7 +175,7 @@ pub fn lint_file(rel_path: &str, src: &str) -> Vec<Finding> {
                     codes::DET_BARE_F64_ACC,
                     format!(
                         "bare `{name} {next} …` float accumulation in a module that feeds \
-                         oracles; association order drifts under merging/parallelism — use \
+                         oracles; association order drifts under merging — use \
                          cosmos_types::NeumaierSum (the PR-4 compensated-summation helper)"
                     ),
                     &t,
@@ -388,12 +387,19 @@ mod tests {
     }
 
     #[test]
-    fn d0401_spawn_outside_parallel_rs() {
+    fn d0401_spawn() {
         let src = "fn f() { std::thread::spawn(|| {}); }";
         let f = lint_file("crates/x/src/a.rs", src);
         assert_eq!(codes_of(&f), vec![codes::DET_UNMANAGED_CONC]);
-        // …but parallel.rs itself is exempt.
-        assert!(lint_file("crates/core/src/parallel.rs", src).is_empty());
+    }
+
+    /// No module is exempt: the path that once hosted the routing pool
+    /// is flagged like any other.
+    #[test]
+    fn d0401_has_no_exempt_module() {
+        let src = "fn f() { std::thread::spawn(|| {}); }";
+        let f = lint_file("crates/core/src/parallel.rs", src);
+        assert_eq!(codes_of(&f), vec![codes::DET_UNMANAGED_CONC]);
     }
 
     #[test]

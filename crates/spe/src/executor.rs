@@ -216,12 +216,6 @@ pub mod faultinject {
 }
 
 /// A running continuous query.
-///
-/// `Executor` is `Send` by construction (compile-time assertion below):
-/// the parallel routing driver keeps executors on the main thread
-/// today, but the intake path must never grow thread-bound state
-/// (`Rc`, raw pointers, thread locals) that would wall off moving SPE
-/// sites onto shard workers later.
 #[derive(Debug, Clone)]
 pub struct Executor {
     query: AnalyzedQuery,
@@ -1112,14 +1106,6 @@ impl AggregateState {
         rows
     }
 }
-
-/// Compile-time guarantee that executor intake can cross threads: the
-/// shard-per-core driver relies on every type reachable from a routed
-/// batch's delivery being `Send`.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<Executor>();
-};
 
 #[cfg(test)]
 mod tests {

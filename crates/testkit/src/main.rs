@@ -18,8 +18,10 @@
 //! file, and for static-verify failures the violating snapshot is
 //! written next to it. `replay` re-checks a scenario file (shrunk files
 //! stay failing until the bug is fixed, then flip to PASS). `sweep` runs
-//! a contiguous seed range, as CI does. `snapshot` dumps the network
-//! snapshot a seed's scenario ends in, for `cosmos-verify <file>`.
+//! a contiguous seed range, as CI does; a seed that panics is reported
+//! as a FAIL of the `panic` oracle and the sweep goes on. `snapshot`
+//! dumps the network snapshot a seed's scenario ends in, for
+//! `cosmos-verify <file>`.
 //! `metrics` dumps the versioned metrics snapshot the same run ends in —
 //! per-link/node traffic, observed stream statistics, per-query delivery
 //! rates and latencies, and the aggregated router counters. `bounds`
@@ -66,11 +68,11 @@ use std::process::ExitCode;
 fn usage(msg: &str) -> ExitCode {
     eprintln!("cosmos-sim: {msg}");
     eprintln!(
-        "usage: cosmos-sim run --seed S [--disorder] [--no-bounds] [--parallelism N] \
+        "usage: cosmos-sim run --seed S [--disorder] [--no-bounds] \
          [--overload [--budget B]] [--no-shrink] [--out FILE]\n\
          \u{20}      cosmos-sim replay FILE\n\
          \u{20}      cosmos-sim sweep --seeds N [--start S0] [--disorder] [--no-bounds] \
-         [--parallelism N] [--overload [--budget B]] [--no-shrink] [--out-dir DIR]\n\
+         [--overload [--budget B]] [--no-shrink] [--out-dir DIR]\n\
          \u{20}      cosmos-sim snapshot --seed S [--baseline] [--disorder] [--out FILE]\n\
          \u{20}      cosmos-sim metrics --seed S [--baseline] [--disorder] [--out FILE]\n\
          \u{20}      cosmos-sim bounds --seed S [--baseline] [--disorder] [--out FILE]\n\
@@ -87,7 +89,6 @@ struct Opts {
     no_bounds: bool,
     baseline: bool,
     disorder: bool,
-    parallelism: usize,
     overload: bool,
     budget: u64,
     inject_shed_leak: bool,
@@ -120,7 +121,6 @@ fn main() -> ExitCode {
         no_bounds: false,
         baseline: false,
         disorder: false,
-        parallelism: 1,
         overload: false,
         budget: u64::MAX / 4,
         inject_shed_leak: false,
@@ -148,10 +148,6 @@ fn main() -> ExitCode {
             },
             "--no-shrink" => o.no_shrink = true,
             "--no-bounds" => o.no_bounds = true,
-            "--parallelism" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => o.parallelism = v,
-                _ => return usage("--parallelism needs an integer >= 1"),
-            },
             "--baseline" => o.baseline = true,
             "--disorder" => o.disorder = true,
             "--overload" => o.overload = true,
@@ -195,12 +191,7 @@ fn main() -> ExitCode {
             replay(&o.files[0])
         }
         "sweep" => {
-            let mut failed = 0u64;
-            for seed in o.start..o.start + o.seeds {
-                if !run_one(seed, &o) {
-                    failed += 1;
-                }
-            }
+            let failed = sweep(o.start..o.start + o.seeds, |seed| run_one(seed, &o));
             println!(
                 "sweep: {}/{} seeds passed (start {})",
                 o.seeds - failed,
@@ -234,6 +225,30 @@ fn main() -> ExitCode {
         "admission-canary" => admission_canary(),
         other => usage(&format!("unknown command '{other}'")),
     }
+}
+
+/// Check every seed of `seeds` in order with `check` (true = pass) and
+/// return how many failed. A seed whose check panics is reported as a
+/// FAIL attributed to the `panic` oracle, and the sweep goes on with
+/// the next seed.
+fn sweep(seeds: std::ops::Range<u64>, mut check: impl FnMut(u64) -> bool) -> u64 {
+    let mut failed = 0;
+    for seed in seeds {
+        let passed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(seed)))
+            .unwrap_or_else(|payload| {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|m| m.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".into());
+                eprintln!("seed {seed}: FAIL [panic] {msg}");
+                false
+            });
+        if !passed {
+            failed += 1;
+        }
+    }
+    failed
 }
 
 /// Run one seed's scenario to the end and dump the resulting network
@@ -434,13 +449,8 @@ fn run_one(seed: u64, o: &Opts) -> bool {
     let scenario = o.expand(seed);
     let copts = CheckOptions {
         bound_soundness: !o.no_bounds,
-        parallelism: o.parallelism,
         overload_budget: o.overload.then_some(o.budget),
         inject_shed_leak: o.inject_shed_leak,
-        // At --parallelism > 1 every oracle run is already the parallel
-        // driver; CI compares the sweep's digests against a serial
-        // sweep instead of paying for a redundant in-process replay.
-        metamorphic_parallel: o.parallelism <= 1,
         ..CheckOptions::default()
     };
     match check_scenario_opts(&scenario, &copts) {
@@ -536,5 +546,28 @@ fn replay(path: &str) -> ExitCode {
             eprintln!("FAIL {f}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::sweep;
+
+    #[test]
+    fn sweep_reports_a_panicking_seed_and_goes_on() {
+        let mut seen = Vec::new();
+        let failed = sweep(10..14, |seed| {
+            seen.push(seed);
+            if seed == 11 {
+                panic!("seed {seed} blew up");
+            }
+            seed != 12
+        });
+        assert_eq!(failed, 2, "the panic and the plain failure both count");
+        assert_eq!(
+            seen,
+            vec![10, 11, 12, 13],
+            "seeds after the panic still run"
+        );
     }
 }
